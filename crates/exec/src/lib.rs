@@ -403,144 +403,134 @@ pub fn run_epochs<E: ExecutionEngine>(
 /// least-advanced non-halted shard (every shard has completed at least
 /// this many cycles), or the maximum cycle count when all shards have
 /// halted. Paired with whether the whole set has halted. This is the
-/// clock [`run_epochs_sharded`] budgets against, and what a sharded
+/// clock [`plan_epoch_round`] budgets against, and what a sharded
 /// session reports as its own [`ExecutionEngine::cycle`].
 pub fn shard_frontier<E: ExecutionEngine>(shards: &[E]) -> (u64, bool) {
+    frontier_of(shards.iter().map(|s| (s.cycle(), s.is_halted())))
+}
+
+fn frontier_of(shards: impl Iterator<Item = (u64, bool)>) -> (u64, bool) {
     let mut max_all = 0u64;
     let mut min_live: Option<u64> = None;
-    for s in shards {
-        let c = s.cycle();
+    for (c, halted) in shards {
         max_all = max_all.max(c);
-        if !s.is_halted() {
+        if !halted {
             min_live = Some(min_live.map_or(c, |m| m.min(c)));
         }
     }
     (min_live.unwrap_or(max_all), min_live.is_none())
 }
 
-/// Epoch-synchronized multi-core driver: advances every shard of
-/// `shards` one epoch at a time until all of them halt or the
-/// least-advanced shard exhausts `max_cycles`.
-///
-/// Scheduling is deterministic: each round picks the frontier (the
-/// cycle count of the least-advanced non-halted shard), runs every
-/// shard that has not yet reached `frontier + epoch` up to that
-/// deadline *in shard order*, then fires `on_epoch` — the boundary at
-/// which harnesses exchange shared device state (the platform's
-/// arbiter captures the canonical SoC-bus image there). Because no
-/// shard can run ahead of the slowest by more than one epoch, shards
-/// communicating through shared devices (mailbox RAM, UART) observe
-/// each other's traffic with at most one epoch of skew, identically on
-/// every run.
-///
-/// Stop semantics mirror [`ExecutionEngine::run_until`]: the budget
-/// check precedes the halt check (a zero budget returns
-/// [`StopCause::LimitReached`] without dispatching, even on a fully
-/// halted set), `Halted` means *every* shard reached its halt, and
-/// architectural state is committed on all shards before returning
-/// `Halted`. An empty shard set reports `Halted` immediately.
-///
-/// # Errors
-///
-/// Propagates the first shard fault (remaining shards keep the state
-/// they reached inside the failing round).
-pub fn run_epochs_sharded<E: ExecutionEngine>(
-    shards: &mut [E],
-    max_cycles: u64,
-    epoch: u64,
-    on_epoch: impl FnMut(&mut [E]),
-) -> Result<StopCause, E::Error> {
-    run_epochs_rounds(shards, max_cycles, epoch, on_epoch, |shards, deadline| {
-        run_shard_round_sequential(shards, deadline, true)
-    })
+/// One shard as the epoch-round planner sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardState {
+    /// Clock cycles consumed.
+    pub cycle: u64,
+    /// True once the shard executed its halt instruction.
+    pub halted: bool,
+    /// Units retired.
+    pub retired: u64,
 }
 
-/// Runs one epoch round in shard order on the calling thread: every
-/// live shard below `deadline` executes `run_until(Cycles(deadline))`.
-/// With `commit_boundary_halts`, a shard that halts exactly on the
-/// deadline gets its architectural state committed inside the round (a
-/// completed run, same as the single-engine epoch driver).
-///
-/// # Errors
-///
-/// Propagates the fault of the lowest-numbered faulting shard. Every
-/// other shard of the round still runs to its deadline first — the
-/// same post-fault state [`run_shard_round_parallel`] leaves, so a
-/// faulting round is bit-identical under both schedulers.
-pub fn run_shard_round_sequential<E: ExecutionEngine>(
-    shards: &mut [E],
-    deadline: u64,
-    commit_boundary_halts: bool,
-) -> Result<(), E::Error> {
-    let mut first_err: Option<E::Error> = None;
-    for s in shards.iter_mut() {
-        if let Err(e) = run_shard_to_deadline(s, deadline, commit_boundary_halts) {
-            if first_err.is_none() {
-                first_err = Some(e);
-            }
+impl ShardState {
+    /// The planner's view of `shard`.
+    pub fn of<E: ExecutionEngine>(shard: &E) -> ShardState {
+        ShardState {
+            cycle: shard.cycle(),
+            halted: shard.is_halted(),
+            retired: shard.engine_stats().retired,
         }
     }
-    first_err.map_or(Ok(()), Err)
 }
 
-/// What the epoch scheduler decided for the next round — the planning
-/// half of the shared shard-round loop, split out so external
-/// schedulers (the fleet thread pool drives rounds as work items, not
-/// as a blocking loop) make *exactly* the decision the in-process
-/// drivers make. One plan per barrier: compute the frontier, call
-/// [`plan_epoch_round`], act on the verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpochPlan {
-    /// The frontier reached the cycle budget: stop with
-    /// [`StopCause::LimitReached`]. Checked *before* the halt state,
-    /// mirroring [`ExecutionEngine::run_until`]'s budget-first rule.
-    LimitReached,
-    /// Every shard halted: commit architectural state on all shards and
-    /// stop with [`StopCause::Halted`].
-    Halted,
-    /// Run every live shard below `deadline` up to it, then exchange
-    /// shared state at the barrier and plan again.
+/// What [`plan_epoch_round`] decided for the next round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RoundPlan {
+    /// Stop the run. Before reporting [`StopCause::Halted`] the
+    /// executor commits architectural state on every shard.
+    Done(StopCause),
+    /// Run every shard in `live` to `deadline`, then exchange shared
+    /// state at the barrier and plan again. A faulting round ends the
+    /// run with the lowest-numbered shard's fault and no barrier.
     Round {
-        /// The cycle deadline of this round
-        /// (`frontier + epoch`, clamped to the budget).
+        /// The cycle deadline of this round.
         deadline: u64,
+        /// Whether a shard halting exactly on the deadline commits its
+        /// architectural state inside the round (a completed run, as
+        /// in the single-engine epoch driver).
+        commit_boundary_halts: bool,
+        /// The non-halted shards below the deadline, in shard order.
+        /// Never empty.
+        live: Vec<usize>,
     },
 }
 
-/// Plans one epoch round from a shard set's frontier — the single
-/// decision procedure behind [`run_epochs_sharded`],
-/// [`run_epochs_parallel`] and the fleet pool scheduler. `frontier` and
-/// `all_halted` come from [`shard_frontier`]; `epoch` is clamped to at
-/// least one cycle.
-pub fn plan_epoch_round(frontier: u64, all_halted: bool, max_cycles: u64, epoch: u64) -> EpochPlan {
-    if frontier >= max_cycles {
-        return EpochPlan::LimitReached;
+/// The epoch schedule of a shard set — the one decision procedure
+/// every shard executor runs ([`run_epoch_rounds`] inline,
+/// [`pool::FleetPool`] on worker threads), so all of them simulate
+/// the same rounds to the same deadlines and exchange at the same
+/// barriers.
+///
+/// Stop semantics mirror [`ExecutionEngine::run_until`]: the budget
+/// check precedes the halt check (a zero budget stops with
+/// [`StopCause::LimitReached`] even on a fully halted set), and
+/// `Halted` means *every* shard halted. An empty set is halted.
+///
+/// * `Limit::Cycles(max)` binds the frontier ([`shard_frontier`]):
+///   each round runs to `frontier + epoch`, clamped to `max`.
+/// * `Limit::Retirements(budget)` binds the aggregate retirement
+///   count. A shard retires at most one unit per cycle, so the round
+///   length shrinks with the remaining budget
+///   (`remaining / shards`, clamped to `1..=epoch`) and the aggregate
+///   overshoots by fewer than `shards` units. Boundary halts commit
+///   only when the whole set has halted.
+///
+/// `epoch` is clamped to at least one cycle.
+pub fn plan_epoch_round(shards: &[ShardState], limit: Limit, epoch: u64) -> RoundPlan {
+    if shards.is_empty() {
+        return RoundPlan::Done(StopCause::Halted);
+    }
+    let epoch = epoch.max(1);
+    let (frontier, all_halted) = frontier_of(shards.iter().map(|s| (s.cycle, s.halted)));
+    let (exhausted, deadline, commit_boundary_halts) = match limit {
+        Limit::Cycles(max) => (
+            frontier >= max,
+            frontier.saturating_add(epoch).min(max),
+            true,
+        ),
+        Limit::Retirements(budget) => {
+            let retired: u64 = shards.iter().map(|s| s.retired).sum();
+            let room = (budget.saturating_sub(retired) / shards.len() as u64).clamp(1, epoch);
+            (retired >= budget, frontier.saturating_add(room), false)
+        }
+    };
+    if exhausted {
+        return RoundPlan::Done(StopCause::LimitReached);
     }
     if all_halted {
-        return EpochPlan::Halted;
+        return RoundPlan::Done(StopCause::Halted);
     }
-    let deadline = frontier.saturating_add(epoch.max(1)).min(max_cycles);
-    EpochPlan::Round { deadline }
+    let live = shards
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| !s.halted && s.cycle < deadline)
+        .map(|(i, _)| i)
+        .collect();
+    RoundPlan::Round {
+        deadline,
+        commit_boundary_halts,
+        live,
+    }
 }
 
 /// Advances one shard to an epoch-round deadline — the per-shard body
-/// both round schedulers (and the fleet pool's shard work items) share.
-/// Halted shards and shards already at the deadline are skipped; with
-/// `commit_boundary_halts`, a shard that halts exactly on the deadline
-/// gets its architectural state committed inside the round (a completed
-/// run, same as the single-engine epoch driver).
-///
-/// # Errors
-///
-/// Propagates the shard's fault.
-pub fn run_shard_to_deadline<E: ExecutionEngine>(
+/// of every executor. With `commit_boundary_halts`, a shard that halts
+/// exactly on the deadline gets its architectural state committed.
+pub(crate) fn run_shard_to_deadline<E: ExecutionEngine>(
     shard: &mut E,
     deadline: u64,
     commit_boundary_halts: bool,
 ) -> Result<(), E::Error> {
-    if shard.is_halted() || shard.cycle() >= deadline {
-        return Ok(());
-    }
     if shard.run_until(Limit::Cycles(deadline))? == StopCause::LimitReached
         && commit_boundary_halts
         && shard.is_halted()
@@ -550,129 +540,75 @@ pub fn run_shard_to_deadline<E: ExecutionEngine>(
     Ok(())
 }
 
-/// The one epoch schedule both sharded drivers share: frontier, budget
-/// and halt checks, deadline computation and `on_epoch` placement live
-/// here *exactly once* — the drivers differ only in the `round`
-/// callback that advances the shards to each deadline. This is what
-/// makes the sequential/parallel bit-identity claim structural rather
-/// than a matter of keeping two loops in sync. The planning half is
-/// public as [`plan_epoch_round`], so out-of-process schedulers (the
-/// fleet pool) share the same decisions without borrowing this loop.
-fn run_epochs_rounds<E: ExecutionEngine>(
+/// Runs a shard set to `limit` on the calling thread: the inline
+/// executor of [`plan_epoch_round`]. Each round runs its live shards in
+/// shard order, then fires `on_epoch` — the barrier at which harnesses
+/// exchange shared device state (the platform's arbiter merges the
+/// per-shard SoC-bus images there). Because no shard runs ahead of the
+/// slowest by more than one epoch, shards communicating through shared
+/// devices see each other's traffic with at most one epoch of skew,
+/// identically on every run and under every executor.
+///
+/// # Errors
+///
+/// The fault of the lowest-numbered faulting shard. Every other live
+/// shard of the round still runs to its deadline first, so the
+/// post-fault state is the same under every executor; the faulting
+/// round fires no barrier.
+pub fn run_epoch_rounds<E: ExecutionEngine>(
     shards: &mut [E],
-    max_cycles: u64,
+    limit: Limit,
     epoch: u64,
     mut on_epoch: impl FnMut(&mut [E]),
-    mut round: impl FnMut(&mut [E], u64) -> Result<(), E::Error>,
 ) -> Result<StopCause, E::Error> {
-    if shards.is_empty() {
-        return Ok(StopCause::Halted);
-    }
     loop {
-        let (frontier, all_halted) = shard_frontier(shards);
-        match plan_epoch_round(frontier, all_halted, max_cycles, epoch) {
-            EpochPlan::LimitReached => return Ok(StopCause::LimitReached),
-            EpochPlan::Halted => {
-                for s in shards.iter_mut() {
-                    s.commit_arch_state();
+        let states: Vec<ShardState> = shards.iter().map(ShardState::of).collect();
+        match plan_epoch_round(&states, limit, epoch) {
+            RoundPlan::Done(stop) => {
+                if stop == StopCause::Halted {
+                    for s in shards.iter_mut() {
+                        s.commit_arch_state();
+                    }
                 }
-                return Ok(StopCause::Halted);
+                return Ok(stop);
             }
-            EpochPlan::Round { deadline } => {
-                round(shards, deadline)?;
+            RoundPlan::Round {
+                deadline,
+                commit_boundary_halts,
+                live,
+            } => {
+                let mut fault = None;
+                for i in live {
+                    if let Err(e) =
+                        run_shard_to_deadline(&mut shards[i], deadline, commit_boundary_halts)
+                    {
+                        fault.get_or_insert(e);
+                    }
+                }
+                if let Some(e) = fault {
+                    return Err(e);
+                }
                 on_epoch(shards);
             }
         }
     }
 }
 
-/// Thread-parallel twin of [`run_epochs_sharded`]: literally the same
-/// epoch schedule (both drivers delegate to one shared loop — frontier
-/// computation, deadlines, halt/budget semantics and `on_epoch`
-/// boundaries exist once), but every round runs its shards
-/// concurrently, one scoped worker thread per live shard.
-///
-/// Bit-identity with the sequential driver is a *property of the
-/// shards*, guaranteed whenever shards touch no shared mutable state
-/// inside an epoch (the sharded session satisfies this by giving every
-/// shard a private device-state clone and reconciling at the
-/// `on_epoch` barrier — see `cabt-platform`'s `ShardArbiter`). Under
-/// that isolation the round's result is a pure function of the shard
-/// states at its start, so the host interleaving cannot be observed
-/// and sequential and parallel runs produce bit-identical shard
-/// states, cycle counts and device images.
+/// Epoch-synchronized multi-core driver: [`run_epoch_rounds`] under a
+/// cycle budget on the frontier clock — every shard halts, or the
+/// least-advanced shard exhausts `max_cycles`.
 ///
 /// # Errors
 ///
-/// Propagates the fault of the lowest-numbered faulting shard
-/// (deterministic whatever thread finished first). Every shard of the
-/// faulting round has already run to its deadline — exactly like the
-/// sequential driver, so faulting runs stay bit-identical under both
-/// schedulers.
-pub fn run_epochs_parallel<E>(
+/// The fault of the lowest-numbered faulting shard of the failing
+/// round (see [`run_epoch_rounds`]).
+pub fn run_epochs_sharded<E: ExecutionEngine>(
     shards: &mut [E],
     max_cycles: u64,
     epoch: u64,
     on_epoch: impl FnMut(&mut [E]),
-) -> Result<StopCause, E::Error>
-where
-    E: ExecutionEngine + Send,
-    E::Error: Send,
-{
-    run_epochs_rounds(shards, max_cycles, epoch, on_epoch, |shards, deadline| {
-        run_shard_round_parallel(shards, deadline, true)
-    })
-}
-
-/// Runs one epoch round concurrently: every live shard below `deadline`
-/// gets a scoped worker thread executing `run_until(Cycles(deadline))`.
-/// With `commit_boundary_halts`, a shard that halts exactly on the
-/// deadline gets its architectural state committed inside the round —
-/// matching [`run_epochs_sharded`]'s per-round behaviour. Drivers with
-/// their own commit discipline (e.g. retirement-budgeted rounds that
-/// commit only once the whole set halts) pass `false`.
-///
-/// # Errors
-///
-/// Propagates the fault of the lowest-numbered faulting shard.
-pub fn run_shard_round_parallel<E>(
-    shards: &mut [E],
-    deadline: u64,
-    commit_boundary_halts: bool,
-) -> Result<(), E::Error>
-where
-    E: ExecutionEngine + Send,
-    E::Error: Send,
-{
-    let mut first_err: Option<E::Error> = None;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for s in shards.iter_mut() {
-            if s.is_halted() || s.cycle() >= deadline {
-                continue;
-            }
-            handles.push(
-                scope.spawn(move || run_shard_to_deadline(s, deadline, commit_boundary_halts)),
-            );
-        }
-        // Joined in spawn (= shard) order, so the reported fault is the
-        // lowest-numbered faulting shard regardless of thread timing.
-        for h in handles {
-            match h.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+) -> Result<StopCause, E::Error> {
+    run_epoch_rounds(shards, Limit::Cycles(max_cycles), epoch, on_epoch)
 }
 
 /// Aggregate counters of a shard set: `retired` and `stall_cycles` sum
@@ -899,83 +835,90 @@ mod tests {
         assert!(!t.is_halted());
     }
 
-    /// A toy shard: units cost `cost` cycles each, halts after `halt_units`.
-    fn shard(cost: u64, halt_units: u64) -> Toy {
-        Toy {
-            cycles: 0,
-            units: 0,
-            regs: [cost as u32, halt_units as u32, 0, 0],
-        }
-    }
-
-    // Reinterpret Toy for shard tests: regs[0]=cost is unused by Toy's
-    // fixed 3-cycle step, so just use differently sized halt points via
-    // a wrapper engine.
-    struct ScaledToy {
-        inner: Toy,
+    /// A toy shard for schedule-parity tests: each unit costs `cost`
+    /// cycles, halts after `halt_units` units, optionally faults at a
+    /// given unit count.
+    pub(crate) struct Shardling {
+        cycles: u64,
+        units: u64,
         cost: u64,
         halt_units: u64,
+        pub(crate) fault_at: Option<u64>,
     }
 
-    impl ExecutionEngine for ScaledToy {
-        type Error = NoFault;
-        type Snapshot = (u64, u64, [u32; 4]);
-        fn snapshot(&self) -> Self::Snapshot {
-            self.inner.snapshot()
+    #[derive(Debug, PartialEq)]
+    pub(crate) struct Boom(pub(crate) u64);
+    impl fmt::Display for Boom {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(f, "boom at unit {}", self.0)
         }
-        fn restore(&mut self, s: &Self::Snapshot) {
-            self.inner.restore(s);
+    }
+    impl std::error::Error for Boom {}
+
+    impl ExecutionEngine for Shardling {
+        type Error = Boom;
+        type Snapshot = (u64, u64);
+        fn snapshot(&self) -> Self::Snapshot {
+            (self.cycles, self.units)
+        }
+        fn restore(&mut self, &(cycles, units): &Self::Snapshot) {
+            self.cycles = cycles;
+            self.units = units;
         }
         fn reset(&mut self) {
-            self.inner.reset();
+            self.cycles = 0;
+            self.units = 0;
         }
-        fn step_unit(&mut self) -> Result<(), NoFault> {
-            self.inner.units += 1;
-            self.inner.cycles += self.cost;
+        fn step_unit(&mut self) -> Result<(), Boom> {
+            if self.fault_at == Some(self.units) {
+                return Err(Boom(self.units));
+            }
+            self.units += 1;
+            self.cycles += self.cost;
             Ok(())
         }
         fn cycle(&self) -> u64 {
-            self.inner.cycles
+            self.cycles
         }
         fn is_halted(&self) -> bool {
-            self.inner.units >= self.halt_units
+            self.units >= self.halt_units
         }
         fn pc(&self) -> Option<u32> {
             None
         }
         fn reg_count(&self) -> usize {
-            4
+            0
         }
-        fn read_reg_index(&self, i: usize) -> u32 {
-            self.inner.regs[i]
+        fn read_reg_index(&self, _i: usize) -> u32 {
+            0
         }
-        fn write_reg_index(&mut self, i: usize, v: u32) {
-            self.inner.regs[i] = v;
-        }
-        fn read_mem(&mut self, _a: u32, len: usize) -> Result<Vec<u8>, NoFault> {
+        fn write_reg_index(&mut self, _i: usize, _v: u32) {}
+        fn read_mem(&mut self, _a: u32, len: usize) -> Result<Vec<u8>, Boom> {
             Ok(vec![0; len])
         }
         fn engine_stats(&self) -> EngineStats {
             EngineStats {
-                cycles: self.inner.cycles,
-                retired: self.inner.units,
+                cycles: self.cycles,
+                retired: self.units,
                 stall_cycles: 0,
             }
         }
     }
 
-    fn scaled(cost: u64, halt_units: u64) -> ScaledToy {
-        ScaledToy {
-            inner: shard(cost, halt_units),
+    pub(crate) fn shardling(cost: u64, halt_units: u64) -> Shardling {
+        Shardling {
+            cycles: 0,
+            units: 0,
             cost,
             halt_units,
+            fault_at: None,
         }
     }
 
     #[test]
     fn sharded_driver_halts_when_all_shards_halt() {
         // Unequal speeds: the slow shard defines the frontier.
-        let mut shards = vec![scaled(2, 10), scaled(7, 4)];
+        let mut shards = vec![shardling(2, 10), shardling(7, 4)];
         let mut boundaries = 0;
         let r = run_epochs_sharded(&mut shards, u64::MAX, 8, |_| boundaries += 1);
         assert_eq!(r, Ok(StopCause::Halted));
@@ -989,7 +932,7 @@ mod tests {
     #[test]
     fn sharded_driver_budget_precedes_halt_and_is_frontier_based() {
         // Zero budget: LimitReached without dispatching, even halted.
-        let mut shards = vec![scaled(1, 0), scaled(1, 0)];
+        let mut shards = vec![shardling(1, 0), shardling(1, 0)];
         assert!(shards.iter().all(super::ExecutionEngine::is_halted));
         let r = run_epochs_sharded(&mut shards, 0, 4, |_| {});
         assert_eq!(r, Ok(StopCause::LimitReached));
@@ -998,7 +941,7 @@ mod tests {
         assert_eq!(r, Ok(StopCause::Halted));
 
         // The budget binds the *frontier*: the slowest live shard.
-        let mut shards = vec![scaled(1, 1000), scaled(10, 1000)];
+        let mut shards = vec![shardling(1, 1000), shardling(10, 1000)];
         let r = run_epochs_sharded(&mut shards, 50, 5, |_| {});
         assert_eq!(r, Ok(StopCause::LimitReached));
         let (frontier, all_halted) = shard_frontier(&shards);
@@ -1017,7 +960,7 @@ mod tests {
     #[test]
     fn sharded_driver_is_deterministic() {
         let run = || {
-            let mut shards = vec![scaled(3, 40), scaled(5, 25), scaled(2, 60)];
+            let mut shards = vec![shardling(3, 40), shardling(5, 25), shardling(2, 60)];
             run_epochs_sharded(&mut shards, u64::MAX, 16, |_| {}).unwrap();
             shards
                 .iter()
@@ -1028,53 +971,45 @@ mod tests {
     }
 
     #[test]
-    fn empty_shard_set_is_trivially_halted() {
-        let mut shards: Vec<Toy> = Vec::new();
+    fn planner_checks_the_budget_first_and_sizes_retirement_rounds() {
+        let st = |cycle, halted, retired| ShardState {
+            cycle,
+            halted,
+            retired,
+        };
+        let halted = [st(40, true, 10), st(70, true, 30)];
+        for limit in [Limit::Cycles(70), Limit::Retirements(40)] {
+            assert_eq!(
+                plan_epoch_round(&halted, limit, 16),
+                RoundPlan::Done(StopCause::LimitReached),
+                "{limit:?}: an exhausted budget wins over the halt"
+            );
+        }
         assert_eq!(
-            run_epochs_sharded(&mut shards, 100, 4, |_| {}),
-            Ok(StopCause::Halted)
+            plan_epoch_round(&halted, Limit::Retirements(41), 16),
+            RoundPlan::Done(StopCause::Halted)
         );
-    }
-
-    #[test]
-    fn parallel_driver_matches_sequential_bit_for_bit() {
-        // Isolated shards (no shared state): the parallel schedule must
-        // reproduce the sequential one exactly — stats, boundary count,
-        // stop cause — on halting and budget-bound runs alike.
-        for budget in [u64::MAX, 50, 0] {
-            let build = || vec![scaled(3, 40), scaled(5, 25), scaled(2, 60), scaled(7, 13)];
-            let mut seq = build();
-            let mut seq_bounds = 0u32;
-            let rs = run_epochs_sharded(&mut seq, budget, 16, |_| seq_bounds += 1).unwrap();
-            let mut par = build();
-            let mut par_bounds = 0u32;
-            let rp = run_epochs_parallel(&mut par, budget, 16, |_| par_bounds += 1).unwrap();
-            assert_eq!(rs, rp, "budget {budget}: stop cause");
-            assert_eq!(seq_bounds, par_bounds, "budget {budget}: epoch boundaries");
-            let stats = |v: &[ScaledToy]| {
-                v.iter()
-                    .map(super::ExecutionEngine::engine_stats)
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(stats(&seq), stats(&par), "budget {budget}: shard stats");
+        // 100 - 40 retired leaves 30 per shard, clamped to the epoch;
+        // then 2 per shard; then the one-cycle floor.
+        let set = [st(5, false, 20), st(9, false, 20)];
+        for (budget, deadline) in [(100, 5 + 16), (44, 5 + 2), (41, 5 + 1)] {
+            assert_eq!(
+                plan_epoch_round(&set, Limit::Retirements(budget), 16),
+                RoundPlan::Round {
+                    deadline,
+                    commit_boundary_halts: false,
+                    live: if deadline > 9 { vec![0, 1] } else { vec![0] },
+                },
+                "budget {budget}"
+            );
         }
     }
 
     #[test]
-    fn parallel_driver_entry_semantics_match_the_trait() {
-        // Zero budget: LimitReached without dispatching, even halted.
-        let mut shards = vec![scaled(1, 0), scaled(1, 0)];
+    fn empty_shard_set_is_trivially_halted() {
+        let mut shards: Vec<Toy> = Vec::new();
         assert_eq!(
-            run_epochs_parallel(&mut shards, 0, 4, |_| {}),
-            Ok(StopCause::LimitReached)
-        );
-        assert_eq!(
-            run_epochs_parallel(&mut shards, 100, 4, |_| {}),
-            Ok(StopCause::Halted)
-        );
-        let mut empty: Vec<Toy> = Vec::new();
-        assert_eq!(
-            run_epochs_parallel(&mut empty, 100, 4, |_| {}),
+            run_epochs_sharded(&mut shards, 100, 4, |_| {}),
             Ok(StopCause::Halted)
         );
     }

@@ -1,23 +1,21 @@
 //! The fixed work-stealing thread pool epoch scheduling runs on, and
-//! the pooled shard-round driver built on it.
+//! the pool executor of the epoch-round planner.
 //!
 //! The paper's prototyping platform runs *one* session; a fleet service
-//! runs hundreds, and the thread-per-shard-per-round discipline of
-//! [`run_epochs_parallel`](crate::run_epochs_parallel) does not scale
-//! past a handful of concurrent sessions (M sessions × N shards × one
-//! spawn per round). [`FleetPool`] replaces it with a fixed worker
-//! population: epoch rounds are *work items*, and however many sessions
-//! are in flight, host parallelism stays bounded by the worker count.
+//! runs hundreds. [`FleetPool`] gives them a fixed worker population:
+//! epoch rounds are *work items*, and however many sessions are in
+//! flight, host parallelism stays bounded by the worker count.
 //!
-//! [`run_epochs_pooled`] applies the same discipline *within* one
-//! session: the shard rounds of a single NoC-scale sharded run become
-//! pool jobs — one job per live shard per round, no thread spawned per
-//! round — and the job that finishes a round performs the barrier
-//! exchange and plans the next round. The schedule decisions are
-//! [`plan_epoch_round`](crate::plan_epoch_round), the identical
-//! procedure behind the sequential and thread-parallel drivers, so the
-//! pooled schedule is bit-identical to both whenever shards touch no
-//! shared mutable state inside an epoch.
+//! [`FleetPool::submit_epoch_rounds`] runs one shard set on the pool:
+//! one job per live shard per round, no thread spawned per round. The
+//! job that finishes a round performs the barrier exchange and queues
+//! the planning of the next round. Every decision is
+//! [`plan_epoch_round`], the same procedure
+//! the inline executor [`run_epoch_rounds`](crate::run_epoch_rounds)
+//! runs, so the pooled schedule is bit-identical to it whenever shards
+//! touch no shared mutable state inside an epoch. The fleet service
+//! submits M sessions concurrently; [`FleetPool::run_epoch_rounds`]
+//! and [`run_epochs_pooled`] are the blocking single-session entries.
 //!
 //! Stealing discipline: every worker owns a deque and pops its own work
 //! LIFO (a worker that just finished a shard round keeps the cache-hot
@@ -26,8 +24,13 @@
 //! session cannot starve the rest of the fleet. Jobs a worker spawns
 //! land on its own deque; external spawns land on the injector.
 
-use crate::{plan_epoch_round, run_shard_to_deadline, EpochPlan, ExecutionEngine, StopCause};
+use crate::{
+    plan_epoch_round, run_shard_to_deadline, ExecutionEngine, Limit, RoundPlan, ShardState,
+    StopCause,
+};
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread;
@@ -43,7 +46,7 @@ fn lock_ok<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// One unit of pool work (an epoch round of one shard, a batch driver's
 /// bookkeeping step, …).
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+type Job = Box<dyn FnOnce() + Send + 'static>;
 
 thread_local! {
     /// The pool this thread is a worker of, if any — lets jobs spawned
@@ -55,9 +58,9 @@ thread_local! {
 
 /// Shared state of a [`FleetPool`]: the deques, the sleep gate and the
 /// shutdown flag. Jobs hold an `Arc` of this so they can schedule
-/// follow-up work (the event-driven epoch schedulers reschedule a
-/// session's next round from the job that completed its last).
-pub struct PoolCore {
+/// follow-up work (a pooled run pushes its next round from the job
+/// that completed the last).
+struct PoolCore {
     /// One deque per worker, then the injector queue last.
     queues: Vec<Mutex<VecDeque<Job>>>,
     /// Guards sleeping: pushes bump the generation under this lock, so
@@ -68,16 +71,17 @@ pub struct PoolCore {
 }
 
 impl PoolCore {
-    /// Enqueues a job: onto the current worker's own deque when called
-    /// from inside this pool, onto the injector otherwise.
-    pub fn push(self: &Arc<Self>, job: Job) {
+    /// Enqueues jobs, under one lock and one wake-up: onto the current
+    /// worker's own deque when called from inside this pool, onto the
+    /// injector otherwise.
+    fn push(self: &Arc<Self>, jobs: impl IntoIterator<Item = Job>) {
         let slot = WORKER.with(|w| {
             w.borrow()
                 .as_ref()
                 .and_then(|(core, id)| (Weak::as_ptr(core) == Arc::as_ptr(self)).then_some(*id))
         });
         let q = slot.unwrap_or(self.queues.len() - 1);
-        lock_ok(&self.queues[q]).push_back(job);
+        lock_ok(&self.queues[q]).extend(jobs);
         let mut generation = lock_ok(&self.gate);
         *generation += 1;
         drop(generation);
@@ -141,9 +145,7 @@ impl PoolCore {
 ///
 /// Dropping the pool shuts it down: workers finish the jobs already
 /// queued, then exit and are joined. [`FleetPool::spawn`] is the raw
-/// entry; the fleet's cross-session epoch scheduler and the
-/// within-session [`run_epochs_pooled`] driver are the intended
-/// clients.
+/// entry; [`FleetPool::submit_epoch_rounds`] schedules shard sets.
 pub struct FleetPool {
     core: Arc<PoolCore>,
     handles: Vec<thread::JoinHandle<()>>,
@@ -198,12 +200,7 @@ impl FleetPool {
 
     /// Enqueues a job for execution on some worker.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        self.core.push(Box::new(job));
-    }
-
-    /// The shared core, for jobs that schedule follow-up work.
-    pub fn core(&self) -> Arc<PoolCore> {
-        Arc::clone(&self.core)
+        self.core.push([Box::new(job) as Job]);
     }
 }
 
@@ -259,188 +256,316 @@ impl Latch {
     }
 }
 
-// --- the within-session pooled epoch driver ------------------------------
+// --- the pool executor of the epoch-round planner -----------------------
 
-/// Result of [`run_epochs_pooled`]: the shards and barrier context move
-/// into the run (they cross worker threads, and the workspace forbids
+/// Panic payload of a shard job (or barrier hook) of a pooled run.
+pub type Panic = Box<dyn Any + Send + 'static>;
+
+/// Result of a pooled run: the shards and barrier context move into
+/// the run (they cross worker threads, and the workspace forbids
 /// `unsafe`, so scoped borrowing is not an option) and come back here.
 pub struct PooledOutcome<E: ExecutionEngine, C> {
     /// The shard engines, in shard order, at their final states.
     pub shards: Vec<E>,
-    /// The barrier context handed to `on_epoch` (e.g. a shard arbiter).
+    /// The barrier context handed to the barrier hook (e.g. a shard
+    /// arbiter).
     pub ctx: C,
     /// Why the run stopped, or the fault of the lowest-numbered
     /// faulting shard.
     pub stop: Result<StopCause, E::Error>,
 }
 
-/// Shared state of one pooled run, held by every job of the run.
-struct PooledRun<E: ExecutionEngine, C, F> {
+type BarrierFn<E, C> = Box<dyn FnMut(&mut C, &[MutexGuard<'_, E>]) + Send>;
+type DoneFn<E, C> = Box<dyn FnOnce(Result<PooledOutcome<E, C>, Panic>) + Send>;
+
+/// Shared state of one pooled run, held by every job of the run. The
+/// run completes when the last handle drops: [`Drop`] hands the shards,
+/// the context and the stop cause to the completion callback, so the
+/// callback fires exactly once however the run ended.
+struct PooledRun<E: ExecutionEngine, C> {
     shards: Vec<Mutex<E>>,
-    ctx: Mutex<C>,
-    on_epoch: Mutex<F>,
+    /// The barrier context (`None` once handed back) and hook.
+    barrier: Mutex<(Option<C>, BarrierFn<E, C>)>,
+    on_done: Mutex<Option<DoneFn<E, C>>>,
     /// Shard jobs still running in the current round; the job that
-    /// takes this to zero performs the barrier.
+    /// takes this to zero runs the barrier.
     remaining: AtomicUsize,
     /// Lowest-numbered shard fault of the failing round, if any.
-    fault: Mutex<Option<(usize, <E as ExecutionEngine>::Error)>>,
-    /// Panic payload of a panicking shard job (re-raised by the
-    /// coordinator, like the scoped-thread driver's `resume_unwind`).
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// How the run stopped (`None` while a fault/panic ended it).
-    outcome: Mutex<Option<StopCause>>,
-    max_cycles: u64,
+    fault: Mutex<Option<(usize, E::Error)>>,
+    /// First panic payload of a shard job or barrier hook.
+    panic: Mutex<Option<Panic>>,
+    stop: Mutex<Option<StopCause>>,
+    limit: Limit,
     epoch: u64,
+    /// `false` suppresses the planner's in-round boundary-halt commits.
     commit_boundary_halts: bool,
 }
 
-/// Plans the next epoch round of a pooled run and either finishes the
-/// run or schedules one shard job per live shard. Runs on a worker (or
-/// once, from the coordinator via the injector).
-fn plan_pooled_round<E, C, F>(
-    run: &Arc<PooledRun<E, C, F>>,
-    core: &Arc<PoolCore>,
-    latch: &Arc<Latch>,
-) where
+fn take<T>(m: &mut Mutex<Option<T>>) -> Option<T> {
+    m.get_mut().unwrap_or_else(PoisonError::into_inner).take()
+}
+
+impl<E, C> PooledRun<E, C>
+where
     E: ExecutionEngine + Send + 'static,
     E::Error: Send + 'static,
     C: Send + 'static,
-    F: FnMut(&mut C) + Send + 'static,
 {
-    // The frontier over the mutex-held shards — no job of this run is
-    // in flight while planning, so each lock is uncontended.
-    let mut max_all = 0u64;
-    let mut min_live: Option<u64> = None;
-    let mut states = Vec::with_capacity(run.shards.len());
-    for s in &run.shards {
-        let g = lock_ok(s);
-        let (c, halted) = (g.cycle(), g.is_halted());
-        states.push((c, halted));
-        max_all = max_all.max(c);
-        if !halted {
-            min_live = Some(min_live.map_or(c, |m| m.min(c)));
-        }
+    fn new(
+        shards: Vec<E>,
+        ctx: C,
+        limit: Limit,
+        epoch: u64,
+        commit_boundary_halts: bool,
+        on_barrier: BarrierFn<E, C>,
+        on_done: DoneFn<E, C>,
+    ) -> Arc<Self> {
+        Arc::new(PooledRun {
+            shards: shards.into_iter().map(Mutex::new).collect(),
+            barrier: Mutex::new((Some(ctx), on_barrier)),
+            on_done: Mutex::new(Some(on_done)),
+            remaining: AtomicUsize::new(0),
+            fault: Mutex::new(None),
+            panic: Mutex::new(None),
+            stop: Mutex::new(None),
+            limit,
+            epoch,
+            commit_boundary_halts,
+        })
     }
-    let (frontier, all_halted) = (min_live.unwrap_or(max_all), min_live.is_none());
-    match plan_epoch_round(frontier, all_halted, run.max_cycles, run.epoch) {
-        EpochPlan::LimitReached => {
-            *lock_ok(&run.outcome) = Some(StopCause::LimitReached);
-            latch.count_down();
-        }
-        EpochPlan::Halted => {
-            for s in &run.shards {
-                lock_ok(s).commit_arch_state();
-            }
-            *lock_ok(&run.outcome) = Some(StopCause::Halted);
-            latch.count_down();
-        }
-        EpochPlan::Round { deadline } => {
-            let runnable: Vec<usize> = states
+
+    /// Plans the next round: either records the stop cause — the run
+    /// then completes as the last handle drops — or pushes one job per
+    /// live shard. No job of this run is in flight here, so every lock
+    /// is uncontended.
+    fn plan(self: Arc<Self>, core: &Arc<PoolCore>) {
+        let planned = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let states: Vec<ShardState> = self
+                .shards
                 .iter()
-                .enumerate()
-                .filter(|&(_, &(c, halted))| !halted && c < deadline)
-                .map(|(i, _)| i)
+                .map(|s| ShardState::of(&*lock_ok(s)))
                 .collect();
-            // `plan_epoch_round` only answers `Round` when a live shard
-            // sits below the budget, and the deadline strictly exceeds
-            // the frontier — at least one shard is runnable.
-            run.remaining.store(runnable.len(), Ordering::Release);
-            for idx in runnable {
-                let (run, core, latch) = (Arc::clone(run), Arc::clone(core), Arc::clone(latch));
-                let job_core = Arc::clone(&core);
-                job_core.push(Box::new(move || {
-                    shard_round_job(&run, &core, &latch, idx, deadline);
+            let plan = plan_epoch_round(&states, self.limit, self.epoch);
+            if plan == RoundPlan::Done(StopCause::Halted) {
+                for s in &self.shards {
+                    lock_ok(s).commit_arch_state();
+                }
+            }
+            plan
+        }));
+        match planned {
+            Err(payload) => self.record_panic(payload),
+            Ok(RoundPlan::Done(stop)) => *lock_ok(&self.stop) = Some(stop),
+            Ok(RoundPlan::Round {
+                deadline,
+                commit_boundary_halts,
+                live,
+            }) => {
+                let commit = commit_boundary_halts && self.commit_boundary_halts;
+                // Set before the first push: the round cannot complete
+                // until every one of its jobs has been pushed and run.
+                self.remaining.store(live.len(), Ordering::Release);
+                core.push(live.into_iter().map(|idx| {
+                    let (run, job_core) = (Arc::clone(&self), Arc::clone(core));
+                    Box::new(move || run.shard_job(&job_core, idx, deadline, commit)) as Job
                 }));
             }
         }
     }
+
+    /// One shard's slice of a round. The job that completes the round
+    /// runs the barrier and pushes the planning of the next round as a
+    /// job of its own, so a long run never grows the stack.
+    fn shard_job(self: Arc<Self>, core: &Arc<PoolCore>, idx: usize, deadline: u64, commit: bool) {
+        let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_shard_to_deadline(&mut *lock_ok(&self.shards[idx]), deadline, commit)
+        }));
+        match ran {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => {
+                // Deterministic fault report: the lowest-numbered
+                // faulting shard wins, whatever order the jobs
+                // finished in.
+                let mut fault = lock_ok(&self.fault);
+                if fault.as_ref().is_none_or(|&(winner, _)| idx < winner) {
+                    *fault = Some((idx, e));
+                }
+            }
+            Err(payload) => self.record_panic(payload),
+        }
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return;
+        }
+        // A faulting round ends the run without its barrier.
+        if lock_ok(&self.fault).is_some() || lock_ok(&self.panic).is_some() {
+            return;
+        }
+        let barrier = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let shards: Vec<MutexGuard<'_, E>> = self.shards.iter().map(lock_ok).collect();
+            let (ctx, on_barrier) = &mut *lock_ok(&self.barrier);
+            if let Some(ctx) = ctx {
+                on_barrier(ctx, &shards);
+            }
+        }));
+        match barrier {
+            Err(payload) => self.record_panic(payload),
+            // Not planned inline: measured on a 2-core host, inline
+            // planning left the second worker asleep for whole rounds,
+            // and 64-shard runs took ~40% longer than with this hop.
+            Ok(()) => {
+                let plan_core = Arc::clone(core);
+                core.push([Box::new(move || self.plan(&plan_core)) as Job]);
+            }
+        }
+    }
+
+    fn record_panic(&self, payload: Panic) {
+        lock_ok(&self.panic).get_or_insert(payload);
+    }
 }
 
-/// One shard's slice of a pooled epoch round; the job that completes
-/// the round (takes `remaining` to zero) runs the barrier exchange and
-/// plans the next round — event-driven, no coordinator polling.
-fn shard_round_job<E, C, F>(
-    run: &Arc<PooledRun<E, C, F>>,
-    core: &Arc<PoolCore>,
-    latch: &Arc<Latch>,
-    idx: usize,
-    deadline: u64,
-) where
+impl<E: ExecutionEngine, C> Drop for PooledRun<E, C> {
+    fn drop(&mut self) {
+        let Some(on_done) = take(&mut self.on_done) else {
+            return;
+        };
+        let outcome = match take(&mut self.panic) {
+            Some(payload) => Err(payload),
+            None => match (take(&mut self.fault), take(&mut self.stop)) {
+                (Some((_, e)), _) => Ok(Err(e)),
+                (None, Some(stop)) => Ok(Ok(stop)),
+                (None, None) => Err(Box::new("pooled run ended without a stop cause") as Panic),
+            },
+        };
+        // A fresh vector, not an in-place `collect`: shrinking the
+        // shards' allocation in place here, on a pool worker, measured
+        // slower on a 2-core host — in the next run and at pool
+        // teardown (~0.5 ms per worker exit).
+        let mut shards = Vec::with_capacity(self.shards.len());
+        for shard in std::mem::take(&mut self.shards) {
+            shards.push(shard.into_inner().unwrap_or_else(PoisonError::into_inner));
+        }
+        let outcome = outcome.map(|stop| PooledOutcome {
+            shards,
+            ctx: lock_ok(&self.barrier)
+                .0
+                .take()
+                .expect("the barrier context is handed back once"),
+            stop,
+        });
+        on_done(outcome);
+    }
+}
+
+impl FleetPool {
+    /// Starts a shard set's epoch rounds on the pool and returns at
+    /// once: the pool executor of [`plan_epoch_round`]. Each round's
+    /// live shards run as one job each; the job that completes a round
+    /// runs `on_barrier` over the context and every shard (read-only,
+    /// in shard order), then queues the planning of the next round. Any
+    /// number of runs share the pool concurrently.
+    ///
+    /// `on_done` fires exactly once, on whichever thread finishes the
+    /// run: with the [`PooledOutcome`], or with the panic payload of a
+    /// shard job or barrier hook that panicked (the pool survives it).
+    /// The simulation is bit-identical to
+    /// [`run_epoch_rounds`](crate::run_epoch_rounds) whenever shards
+    /// touch no shared mutable state inside an epoch.
+    pub fn submit_epoch_rounds<E, C>(
+        &self,
+        shards: Vec<E>,
+        ctx: C,
+        limit: Limit,
+        epoch: u64,
+        on_barrier: impl FnMut(&mut C, &[MutexGuard<'_, E>]) + Send + 'static,
+        on_done: impl FnOnce(Result<PooledOutcome<E, C>, Panic>) + Send + 'static,
+    ) where
+        E: ExecutionEngine + Send + 'static,
+        E::Error: Send + 'static,
+        C: Send + 'static,
+    {
+        let run = PooledRun::new(
+            shards,
+            ctx,
+            limit,
+            epoch,
+            true,
+            Box::new(on_barrier),
+            Box::new(on_done),
+        );
+        run.plan(&self.core);
+    }
+
+    /// [`FleetPool::submit_epoch_rounds`], blocking the calling thread
+    /// until the run completes.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a shard job's panic on the calling thread.
+    pub fn run_epoch_rounds<E, C>(
+        &self,
+        shards: Vec<E>,
+        ctx: C,
+        limit: Limit,
+        epoch: u64,
+        on_barrier: impl FnMut(&mut C, &[MutexGuard<'_, E>]) + Send + 'static,
+    ) -> PooledOutcome<E, C>
+    where
+        E: ExecutionEngine + Send + 'static,
+        E::Error: Send + 'static,
+        C: Send + 'static,
+    {
+        run_blocking(self, shards, ctx, limit, epoch, true, Box::new(on_barrier))
+    }
+}
+
+fn run_blocking<E, C>(
+    pool: &FleetPool,
+    shards: Vec<E>,
+    ctx: C,
+    limit: Limit,
+    epoch: u64,
+    commit_boundary_halts: bool,
+    on_barrier: BarrierFn<E, C>,
+) -> PooledOutcome<E, C>
+where
     E: ExecutionEngine + Send + 'static,
     E::Error: Send + 'static,
     C: Send + 'static,
-    F: FnMut(&mut C) + Send + 'static,
 {
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut shard = lock_ok(&run.shards[idx]);
-        run_shard_to_deadline(&mut *shard, deadline, run.commit_boundary_halts)
-    }));
-    match outcome {
-        Ok(Ok(())) => {}
-        Ok(Err(e)) => {
-            // Deterministic fault report: the lowest-numbered faulting
-            // shard wins, whatever order the jobs finished in — the
-            // same discipline as the sequential and scoped drivers.
-            let mut slot = lock_ok(&run.fault);
-            if slot.as_ref().is_none_or(|&(winner, _)| idx < winner) {
-                *slot = Some((idx, e));
-            }
-        }
-        Err(payload) => {
-            let mut slot = lock_ok(&run.panic);
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-        }
-    }
-    if run.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        // Last shard of the round. A faulting round ends the run
-        // *without* the barrier — the in-process drivers propagate the
-        // round's error before `on_epoch` fires, and the pooled
-        // schedule must leave bit-identical state behind.
-        if lock_ok(&run.fault).is_some() || lock_ok(&run.panic).is_some() {
-            latch.count_down();
-            return;
-        }
-        {
-            let mut ctx = lock_ok(&run.ctx);
-            let mut on_epoch = lock_ok(&run.on_epoch);
-            (on_epoch)(&mut ctx);
-        }
-        // Re-plan from the pool, not by direct recursion: a long run
-        // crosses millions of barriers and must not grow the stack.
-        let (run, latch) = (Arc::clone(run), Arc::clone(latch));
-        let plan_core = Arc::clone(core);
-        core.push(Box::new(move || {
-            plan_pooled_round(&run, &plan_core, &latch);
-        }));
+    let done = Arc::new((Mutex::new(None), Latch::new(1)));
+    let slot = Arc::clone(&done);
+    let on_done: DoneFn<E, C> = Box::new(move |outcome| {
+        *lock_ok(&slot.0) = Some(outcome);
+        slot.1.count_down();
+    });
+    PooledRun::new(
+        shards,
+        ctx,
+        limit,
+        epoch,
+        commit_boundary_halts,
+        on_barrier,
+        on_done,
+    )
+    .plan(&pool.core);
+    done.1.wait();
+    let outcome = lock_ok(&done.0).take();
+    match outcome.expect("a pooled run always reports its outcome") {
+        Ok(outcome) => outcome,
+        Err(payload) => std::panic::resume_unwind(payload),
     }
 }
 
-/// Pool-scheduled twin of
-/// [`run_epochs_sharded`](crate::run_epochs_sharded): the same epoch
-/// schedule ([`plan_epoch_round`] makes every decision), but each
-/// round's shards run as work items on a [`FleetPool`] — no thread is
-/// spawned per round, and the job that finishes a round performs the
-/// barrier (`on_epoch` over `ctx`) and plans the next. The calling
-/// thread blocks until the run completes and gets the shards and
-/// context back in the [`PooledOutcome`].
-///
-/// Bit-identity with the sequential and scoped-parallel drivers is the
-/// same *property of the shards* those two share: whenever shards touch
-/// no shared mutable state inside an epoch, every schedule runs the
-/// identical rounds to the identical deadlines and exchanges at the
-/// identical barriers.
-///
-/// With `commit_boundary_halts`, a shard halting exactly on a round
-/// deadline gets its architectural state committed inside the round
-/// (matching the other drivers' default); drivers with their own
-/// commit discipline pass `false`.
+/// [`FleetPool::run_epoch_rounds`] under a cycle budget on the
+/// frontier clock, with a barrier hook over the context alone — the
+/// pooled twin of [`run_epochs_sharded`](crate::run_epochs_sharded).
+/// With `commit_boundary_halts` false, shards halting exactly on a
+/// round deadline are committed only once the whole set has halted.
 ///
 /// # Panics
 ///
-/// Re-raises a shard job's panic on the calling thread (the same
-/// surface as the scoped-thread driver's `resume_unwind`).
+/// Re-raises a shard job's panic on the calling thread.
 pub fn run_epochs_pooled<E, C, F>(
     pool: &FleetPool,
     shards: Vec<E>,
@@ -448,7 +573,7 @@ pub fn run_epochs_pooled<E, C, F>(
     max_cycles: u64,
     epoch: u64,
     commit_boundary_halts: bool,
-    on_epoch: F,
+    mut on_epoch: F,
 ) -> PooledOutcome<E, C>
 where
     E: ExecutionEngine + Send + 'static,
@@ -456,77 +581,23 @@ where
     C: Send + 'static,
     F: FnMut(&mut C) + Send + 'static,
 {
-    if shards.is_empty() {
-        return PooledOutcome {
-            shards,
-            ctx,
-            stop: Ok(StopCause::Halted),
-        };
-    }
-    let run = Arc::new(PooledRun {
-        shards: shards.into_iter().map(Mutex::new).collect(),
-        ctx: Mutex::new(ctx),
-        on_epoch: Mutex::new(on_epoch),
-        remaining: AtomicUsize::new(0),
-        fault: Mutex::new(None),
-        panic: Mutex::new(None),
-        outcome: Mutex::new(None),
-        max_cycles,
+    run_blocking(
+        pool,
+        shards,
+        ctx,
+        Limit::Cycles(max_cycles),
         epoch,
         commit_boundary_halts,
-    });
-    let latch = Arc::new(Latch::new(1));
-    {
-        let (run, core, latch) = (Arc::clone(&run), pool.core(), Arc::clone(&latch));
-        let spawn_core = Arc::clone(&core);
-        spawn_core.push(Box::new(move || {
-            plan_pooled_round(&run, &core, &latch);
-        }));
-    }
-    latch.wait();
-    // The finishing job counts the latch down while still holding its
-    // `Arc` of the run for a moment; spin until this thread is the sole
-    // owner, then unwrap the state back out.
-    let mut run = run;
-    let inner = loop {
-        match Arc::try_unwrap(run) {
-            Ok(inner) => break inner,
-            Err(still_shared) => {
-                run = still_shared;
-                thread::yield_now();
-            }
-        }
-    };
-    if let Some(payload) = lock_ok(&inner.panic).take() {
-        std::panic::resume_unwind(payload);
-    }
-    let shards = inner
-        .shards
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect();
-    let ctx = inner
-        .ctx
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    let stop = match inner
-        .fault
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-    {
-        Some((_, e)) => Err(e),
-        None => Ok(lock_ok(&inner.outcome)
-            .take()
-            .expect("a pooled run without fault or panic records its stop cause")),
-    };
-    PooledOutcome { shards, ctx, stop }
+        Box::new(move |ctx: &mut C, _: &[MutexGuard<'_, E>]| on_epoch(ctx)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{aggregate_stats, run_epochs_sharded, EngineStats, Limit};
-    use std::fmt;
+    use crate::tests::{shardling, Boom, Shardling};
+    use crate::{aggregate_stats, run_epoch_rounds, EngineStats};
+    use std::sync::mpsc;
 
     #[test]
     fn pool_runs_every_job_exactly_once() {
@@ -550,14 +621,14 @@ mod tests {
         // the shape of the event-driven epoch scheduler.
         let pool = FleetPool::new(3);
         let latch = Arc::new(Latch::new(1));
-        let core = pool.core();
+        let core = Arc::clone(&pool.core);
         fn step(core: Arc<PoolCore>, latch: Arc<Latch>, left: usize) {
             if left == 0 {
                 latch.count_down();
                 return;
             }
             let next = Arc::clone(&core);
-            core.push(Box::new(move || step(next, latch, left - 1)));
+            core.push([Box::new(move || step(next, latch, left - 1)) as Job]);
         }
         step(core, Arc::clone(&latch), 64);
         latch.wait();
@@ -606,89 +677,13 @@ mod tests {
         assert_eq!(hits.load(Ordering::Relaxed), 8);
     }
 
-    /// A toy shard for schedule-parity tests: each unit costs `cost`
-    /// cycles, halts after `halt_units` units, optionally faults at a
-    /// given unit count.
-    struct Shardling {
-        cycles: u64,
-        units: u64,
-        cost: u64,
-        halt_units: u64,
-        fault_at: Option<u64>,
-    }
-
-    #[derive(Debug, PartialEq)]
-    struct Boom(u64);
-    impl fmt::Display for Boom {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "boom at unit {}", self.0)
-        }
-    }
-    impl std::error::Error for Boom {}
-
-    impl ExecutionEngine for Shardling {
-        type Error = Boom;
-        type Snapshot = (u64, u64);
-        fn snapshot(&self) -> Self::Snapshot {
-            (self.cycles, self.units)
-        }
-        fn restore(&mut self, &(cycles, units): &Self::Snapshot) {
-            self.cycles = cycles;
-            self.units = units;
-        }
-        fn reset(&mut self) {
-            self.cycles = 0;
-            self.units = 0;
-        }
-        fn step_unit(&mut self) -> Result<(), Boom> {
-            if self.fault_at == Some(self.units) {
-                return Err(Boom(self.units));
-            }
-            self.units += 1;
-            self.cycles += self.cost;
-            Ok(())
-        }
-        fn cycle(&self) -> u64 {
-            self.cycles
-        }
-        fn is_halted(&self) -> bool {
-            self.units >= self.halt_units
-        }
-        fn pc(&self) -> Option<u32> {
-            None
-        }
-        fn reg_count(&self) -> usize {
-            0
-        }
-        fn read_reg_index(&self, _i: usize) -> u32 {
-            0
-        }
-        fn write_reg_index(&mut self, _i: usize, _v: u32) {}
-        fn read_mem(&mut self, _a: u32, len: usize) -> Result<Vec<u8>, Boom> {
-            Ok(vec![0; len])
-        }
-        fn engine_stats(&self) -> EngineStats {
-            EngineStats {
-                cycles: self.cycles,
-                retired: self.units,
-                stall_cycles: 0,
-            }
-        }
-    }
-
-    fn shardling(cost: u64, halt_units: u64) -> Shardling {
-        Shardling {
-            cycles: 0,
-            units: 0,
-            cost,
-            halt_units,
-            fault_at: None,
-        }
-    }
-
     #[test]
     fn pooled_schedule_matches_sequential_bit_for_bit() {
-        for budget in [u64::MAX, 50, 0] {
+        // Cycle and retirement budgets alike: stop cause, barrier count
+        // and shard stats equal the inline executor's.
+        let limits = [u64::MAX, 50, 0].map(Limit::Cycles);
+        let budgets = [0, 1, 37, 150, 10_000].map(Limit::Retirements);
+        for limit in limits.into_iter().chain(budgets) {
             let build = || {
                 vec![
                     shardling(3, 40),
@@ -699,24 +694,18 @@ mod tests {
             };
             let mut seq = build();
             let mut seq_bounds = 0u32;
-            let rs = run_epochs_sharded(&mut seq, budget, 16, |_| seq_bounds += 1).unwrap();
+            let rs = run_epoch_rounds(&mut seq, limit, 16, |_| seq_bounds += 1);
 
             let pool = FleetPool::new(3);
-            let out = run_epochs_pooled(&pool, build(), 0u32, budget, 16, true, |bounds| {
-                *bounds += 1;
-            });
-            assert_eq!(out.stop, Ok(rs), "budget {budget}: stop cause");
-            assert_eq!(out.ctx, seq_bounds, "budget {budget}: epoch boundaries");
+            let out = pool.run_epoch_rounds(build(), 0u32, limit, 16, |bounds, _| *bounds += 1);
+            assert_eq!(out.stop, rs, "{limit:?}: stop cause");
+            assert_eq!(out.ctx, seq_bounds, "{limit:?}: epoch boundaries");
             let stats = |v: &[Shardling]| {
                 v.iter()
                     .map(ExecutionEngine::engine_stats)
                     .collect::<Vec<_>>()
             };
-            assert_eq!(
-                stats(&seq),
-                stats(&out.shards),
-                "budget {budget}: shard stats"
-            );
+            assert_eq!(stats(&seq), stats(&out.shards), "{limit:?}: shard stats");
             assert_eq!(aggregate_stats(&seq), aggregate_stats(&out.shards));
         }
     }
@@ -745,96 +734,85 @@ mod tests {
 
     #[test]
     fn pooled_fault_reports_lowest_shard_and_skips_the_barrier() {
-        // Shards 1 and 3 fault in the same round; every shard of the
-        // round still runs to its deadline (same post-fault state as
-        // the sequential driver), the reported fault is shard 1's, and
-        // the barrier of the faulting round never fires.
+        // Shards 1 and 3 fault in the second round; shard 3 faults one
+        // unit into the round (its report arrives first on a pool),
+        // shard 1 six units in. Every executor must report shard 1's
+        // fault, leave the same post-fault state (every live shard of
+        // the round runs to its deadline) and fire the first round's
+        // barrier only.
         let build = || {
-            let mut v = vec![
-                shardling(1, 100),
-                shardling(1, 100),
-                shardling(1, 100),
-                shardling(1, 100),
-            ];
-            v[1].fault_at = Some(3);
-            v[3].fault_at = Some(5);
+            let mut v: Vec<Shardling> = (0..4).map(|_| shardling(1, 100)).collect();
+            v[1].fault_at = Some(8 + 6);
+            v[3].fault_at = Some(8 + 1);
             v
         };
-        let mut seq = build();
-        let mut seq_bounds = 0u32;
-        let seq_err = run_epochs_sharded(&mut seq, u64::MAX, 8, |_| seq_bounds += 1).unwrap_err();
-
-        let pool = FleetPool::new(4);
-        let out = run_epochs_pooled(&pool, build(), 0u32, u64::MAX, 8, true, |bounds| {
-            *bounds += 1;
-        });
-        assert_eq!(out.stop, Err(seq_err), "lowest-numbered fault wins");
-        assert_eq!(out.stop, Err(Boom(3)));
-        assert_eq!(out.ctx, seq_bounds, "no barrier after the faulting round");
         let stats = |v: &[Shardling]| {
             v.iter()
                 .map(ExecutionEngine::engine_stats)
                 .collect::<Vec<_>>()
         };
-        assert_eq!(stats(&seq), stats(&out.shards), "post-fault state matches");
+        for limit in [Limit::Cycles(u64::MAX), Limit::Retirements(1_000)] {
+            let mut inline = build();
+            let mut inline_bounds = 0u32;
+            let err = run_epoch_rounds(&mut inline, limit, 8, |_| inline_bounds += 1).unwrap_err();
+            assert_eq!(err, Boom(14), "{limit:?}: shard 1's fault wins inline");
+            assert_eq!(
+                inline_bounds, 1,
+                "{limit:?}: no barrier on the faulting round"
+            );
+            for workers in [1, 2, 4] {
+                let pool = FleetPool::new(workers);
+                let out = pool.run_epoch_rounds(build(), 0u32, limit, 8, |bounds, _| {
+                    *bounds += 1;
+                });
+                assert_eq!(out.stop, Err(Boom(14)), "{limit:?}, {workers} workers");
+                assert_eq!(out.ctx, 1, "{limit:?}, {workers} workers: barriers");
+                assert_eq!(
+                    stats(&inline),
+                    stats(&out.shards),
+                    "{limit:?}, {workers} workers: post-fault state"
+                );
+            }
+        }
     }
 
-    #[test]
-    fn pooled_runs_share_one_pool() {
-        // Two pooled runs scheduled on the same 2-worker pool, one
-        // after the other, both complete — the fixed population is
-        // reused, not consumed.
-        let pool = FleetPool::new(2);
-        for _ in 0..2 {
-            let out = run_epochs_pooled(
-                &pool,
-                (0..8).map(|i| shardling(1 + i % 3, 30)).collect(),
-                (),
-                u64::MAX,
-                8,
-                true,
-                |()| {},
-            );
-            assert_eq!(out.stop, Ok(StopCause::Halted));
-            assert!(out.shards.iter().all(ExecutionEngine::is_halted));
+    /// An engine whose every step panics.
+    struct Bomb;
+    impl ExecutionEngine for Bomb {
+        type Error = Boom;
+        type Snapshot = ();
+        fn snapshot(&self) -> Self::Snapshot {}
+        fn restore(&mut self, (): &Self::Snapshot) {}
+        fn reset(&mut self) {}
+        fn step_unit(&mut self) -> Result<(), Boom> {
+            panic!("engine bug");
+        }
+        fn cycle(&self) -> u64 {
+            0
+        }
+        fn is_halted(&self) -> bool {
+            false
+        }
+        fn pc(&self) -> Option<u32> {
+            None
+        }
+        fn reg_count(&self) -> usize {
+            0
+        }
+        fn read_reg_index(&self, _i: usize) -> u32 {
+            0
+        }
+        fn write_reg_index(&mut self, _i: usize, _v: u32) {}
+        fn read_mem(&mut self, _a: u32, len: usize) -> Result<Vec<u8>, Boom> {
+            Ok(vec![0; len])
+        }
+        fn engine_stats(&self) -> EngineStats {
+            EngineStats::default()
         }
     }
 
     #[test]
     fn pooled_shard_panic_resurfaces_on_the_coordinator() {
-        struct Bomb;
-        impl ExecutionEngine for Bomb {
-            type Error = Boom;
-            type Snapshot = ();
-            fn snapshot(&self) -> Self::Snapshot {}
-            fn restore(&mut self, (): &Self::Snapshot) {}
-            fn reset(&mut self) {}
-            fn step_unit(&mut self) -> Result<(), Boom> {
-                panic!("engine bug");
-            }
-            fn cycle(&self) -> u64 {
-                0
-            }
-            fn is_halted(&self) -> bool {
-                false
-            }
-            fn pc(&self) -> Option<u32> {
-                None
-            }
-            fn reg_count(&self) -> usize {
-                0
-            }
-            fn read_reg_index(&self, _i: usize) -> u32 {
-                0
-            }
-            fn write_reg_index(&mut self, _i: usize, _v: u32) {}
-            fn read_mem(&mut self, _a: u32, len: usize) -> Result<Vec<u8>, Boom> {
-                Ok(vec![0; len])
-            }
-            fn engine_stats(&self) -> EngineStats {
-                EngineStats::default()
-            }
-        }
         let pool = FleetPool::new(2);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_epochs_pooled(&pool, vec![Bomb], (), u64::MAX, 8, true, |()| {})
@@ -843,15 +821,31 @@ mod tests {
     }
 
     #[test]
-    fn pooled_retirement_budgets_still_run_through_run_until() {
-        // The pooled driver budgets rounds in cycles; a retirement
-        // budget is the session layer's job. Pin that the pool does not
-        // interfere with a plain run_until on the same engine type.
-        let mut s = shardling(3, 100);
-        assert_eq!(
-            s.run_until(Limit::Retirements(7)),
-            Ok(crate::StopCause::LimitReached)
+    fn a_shard_panic_completes_a_submitted_run_and_spares_the_pool() {
+        let pool = FleetPool::new(1);
+        let (tx, rx) = mpsc::channel();
+        pool.submit_epoch_rounds(
+            vec![Bomb, Bomb],
+            (),
+            Limit::Cycles(u64::MAX),
+            8,
+            |(), _| {},
+            move |outcome| {
+                let _ = tx.send(outcome.is_err());
+            },
         );
-        assert_eq!(s.engine_stats().retired, 7);
+        assert!(
+            rx.recv().expect("the completion callback fires"),
+            "the panic is reported, not swallowed"
+        );
+        // The same pool still completes a healthy run afterwards.
+        let out = pool.run_epoch_rounds(
+            (0..3).map(|i| shardling(1 + i, 20)).collect(),
+            (),
+            Limit::Cycles(u64::MAX),
+            8,
+            |(), _| {},
+        );
+        assert_eq!(out.stop, Ok(StopCause::Halted));
     }
 }

@@ -11,7 +11,7 @@
 //! run <workload> <backend> cycles|retirements <n>
 //!     Run the named workload on the backend descriptor (see
 //!     `Backend` `Display`/`FromStr`, e.g. `golden:compiled`,
-//!     `sharded-4x-par:translated:cache`) under the budget.
+//!     `sharded-4x-pool2:translated:cache`) under the budget.
 //!     → {"ok":true,"workload":...,"stats":{...},"uart":"..."}
 //! park <workload> <backend> cycles|retirements <n>
 //!     Run under the budget, then park: the session is serialized to

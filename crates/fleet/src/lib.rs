@@ -6,16 +6,15 @@
 //!
 //! * **[`FleetPool`]** — a fixed work-stealing thread pool. Epoch
 //!   rounds are work items, so M concurrent sessions × N shards
-//!   multiplex onto a bounded worker population instead of the
-//!   thread-per-shard-per-round discipline of
-//!   [`cabt_exec::run_epochs_parallel`].
-//! * **The pooled epoch scheduler** ([`run_fleet`]) — event-driven:
-//!   the pool job that completes the last shard of a session's epoch
-//!   round performs the barrier exchange and schedules the next round.
-//!   Decisions are made by the *same* [`cabt_exec::plan_epoch_round`] /
-//!   [`cabt_exec::run_shard_to_deadline`] pair the in-process drivers
-//!   use, so the simulation is bit-identical to a plain
-//!   [`Session`](cabt_sim::Session) run — pinned per epoch by a rolling
+//!   multiplex onto a bounded worker population.
+//! * **The fleet scheduler** ([`run_fleet`]) — every request is built
+//!   once with [`SimBuilder`], taken apart with
+//!   [`Session::into_shard_parts`] and submitted to the pool executor
+//!   ([`FleetPool::submit_epoch_rounds`]): the job that completes the
+//!   last shard of a round performs the barrier exchange and plans the
+//!   next round. Every decision is `cabt_exec`'s one round planner,
+//!   so the simulation is bit-identical to a plain
+//!   [`Session`] run — pinned per epoch by a rolling
 //!   [`cabt_exec::fingerprint_engine`] digest chain.
 //! * **Portable sessions** — [`cabt_sim::Session::park`] serializes a
 //!   mid-run session to versioned bytes; [`cabt_sim::Session::resume`]
@@ -40,23 +39,11 @@
 
 pub use cabt_exec::pool::{self, FleetPool, Latch};
 
-use cabt_exec::{
-    fingerprint_engine, plan_epoch_round, run_shard_to_deadline, EngineStats, EpochPlan,
-    Fingerprint, Limit, StopCause,
-};
+use cabt_exec::pool::{Panic, PooledOutcome};
+use cabt_exec::{aggregate_stats, fingerprint_engine, EngineStats, Fingerprint, Limit, StopCause};
 use cabt_platform::ShardArbiter;
 use cabt_sim::{Backend, Session, SessionError, SimBuilder};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Locks a fleet-internal mutex, recovering from poison. A worker that
-/// panicked mid-round poisons the mutexes it held; the values they
-/// guard (shard sessions, counters, logs) stay structurally valid, and
-/// the failed unit is reported as a typed [`SessionError::Service`] —
-/// one lost run must not abort the pool or the whole batch.
-fn lock_ok<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Scheduling epoch (target cycles) used when a request does not name
 /// one — the same default granularity sharded sessions fall back to.
@@ -67,9 +54,9 @@ pub const FLEET_EPOCH_CYCLES: u64 = 4096;
 pub struct FleetRequest {
     /// Named `cabt-workloads` entry (`"gcd"`, `"sieve"`, …).
     pub workload: String,
-    /// The vehicle to run it on. [`Backend::Sharded`] requests are
-    /// decomposed into per-shard work items around a shared device
-    /// fabric; single-core backends become one work item per epoch.
+    /// The vehicle to run it on. [`Backend::Sharded`] requests run one
+    /// work item per live shard per epoch around their device fabric;
+    /// single-core backends one work item per epoch.
     pub backend: Backend,
     /// Run budget (frontier cycles or aggregate retirements, exactly as
     /// [`cabt_sim::Session::run`] interprets them).
@@ -151,312 +138,64 @@ impl FleetResult {
     }
 }
 
-/// A fleet session decomposed for the pool: N shard slots (N = 1 for
-/// single-core backends) plus the barrier arbiter of sharded requests.
-struct UnitState {
-    workload: String,
-    backend: Backend,
+/// Barrier context of one fleet session: the device fabric of a
+/// sharded request, plus the epoch count and rolling per-epoch digest
+/// chain.
+struct Progress {
+    arbiter: Option<ShardArbiter>,
+    epochs: u64,
+    chain: Fingerprint,
+}
+
+/// Builds a request once and takes it apart for the pool executor.
+fn build(req: &FleetRequest) -> Result<(cabt_sim::ShardParts, u32), SessionError> {
+    let expected_d2 = cabt_workloads::by_name(&req.workload)
+        .ok_or_else(|| SessionError::UnknownWorkload(req.workload.clone()))?
+        .expected_d2;
+    let session = SimBuilder::named(&req.workload)
+        .backend(req.backend)
+        .shard_epoch(req.epoch.unwrap_or(FLEET_EPOCH_CYCLES))
+        .build()?;
+    Ok((session.into_shard_parts(), expected_d2))
+}
+
+/// The [`FleetResult`] of a completed pooled run.
+fn fleet_result(
+    req: &FleetRequest,
     expected_d2: u32,
-    budget: Limit,
-    epoch: u64,
-    shards: Vec<Mutex<Session>>,
-    /// `Some` for sharded requests: the canonical device fabric merged
-    /// at every epoch barrier.
-    arbiter: Mutex<Option<ShardArbiter>>,
-    /// Live shards still to finish the current round.
-    remaining: AtomicUsize,
-    /// First fault of the current round (lowest-indexed shard wins at
-    /// collection time; rounds run to the barrier like the parallel
-    /// driver).
-    fault: Mutex<Option<SessionError>>,
-    /// Rounds completed plus the rolling per-epoch digest chain.
-    progress: Mutex<(u64, Fingerprint)>,
-    /// The final outcome, set exactly once.
-    outcome: Mutex<Option<Result<StopCause, SessionError>>>,
-}
-
-impl UnitState {
-    fn build(req: &FleetRequest) -> Result<UnitState, SessionError> {
-        let expected_d2 = cabt_workloads::by_name(&req.workload)
-            .ok_or_else(|| SessionError::UnknownWorkload(req.workload.clone()))?
-            .expected_d2;
-        let (shards, arbiter) = match req.backend {
-            // Decompose a sharded backend into fleet-owned shard
-            // sessions around a shared device fabric — the same
-            // construction `Backend::Sharded` performs internally
-            // (private bus clone per shard, core id in `%d15`), built
-            // here from the public surface so every shard is an
-            // independently schedulable work item.
-            Backend::Sharded { cores, backend, .. } => {
-                if cores == 0 {
-                    return Err(SessionError::ShardConfig(
-                        "a sharded fleet request needs at least one core".into(),
-                    ));
-                }
-                let buses: Vec<cabt_platform::SharedSocBus> = (0..cores)
-                    .map(|id| {
-                        cabt_platform::SharedSocBus::new(cabt_platform::shard_soc_bus(
-                            u32::from(id),
-                            u32::from(cores),
-                        ))
-                    })
-                    .collect();
-                let arbiter = ShardArbiter::new(
-                    cabt_platform::mirror_soc_bus(u32::from(cores)),
-                    buses.clone(),
-                );
-                let mut shards = Vec::with_capacity(cores as usize);
-                for id in 0..cores {
-                    let mut builder =
-                        SimBuilder::named(&req.workload).backend(Backend::from(backend));
-                    // RTL shards have no I/O window; the builder ignores
-                    // a bus for them, matching the sharded vehicle.
-                    if !matches!(Backend::from(backend), Backend::Rtl) {
-                        builder = builder.soc_bus(buses[id as usize].clone());
-                    }
-                    let mut shard = builder.build()?;
-                    shard.write_d(15, u32::from(id));
-                    shards.push(Mutex::new(shard));
-                }
-                (shards, Some(arbiter))
-            }
-            backend => {
-                let session = SimBuilder::named(&req.workload).backend(backend).build()?;
-                (vec![Mutex::new(session)], None)
-            }
-        };
-        Ok(UnitState {
-            workload: req.workload.clone(),
-            backend: req.backend,
-            expected_d2,
-            budget: req.budget,
-            epoch: req.epoch.unwrap_or(FLEET_EPOCH_CYCLES).max(1),
-            shards,
-            arbiter: Mutex::new(arbiter),
-            remaining: AtomicUsize::new(0),
-            fault: Mutex::new(None),
-            progress: Mutex::new((0, Fingerprint::new())),
-            outcome: Mutex::new(None),
-        })
+    outcome: Result<PooledOutcome<Session, Progress>, Panic>,
+) -> Result<FleetResult, SessionError> {
+    let out = outcome.map_err(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        SessionError::Service(format!("a shard job panicked: {msg}"))
+    })?;
+    let stop = out.stop?;
+    let mut digest = Fingerprint::new();
+    for shard in &out.shards {
+        digest.mix_u64(fingerprint_engine(shard));
     }
-
-    /// Frontier clock and halt state, as [`cabt_exec::shard_frontier`]
-    /// defines them, over the locked shard slots.
-    fn frontier(&self) -> (u64, bool) {
-        let mut frontier = u64::MAX;
-        let mut all_halted = true;
-        for slot in &self.shards {
-            let shard = lock_ok(slot);
-            if !cabt_exec::ExecutionEngine::is_halted(&*shard) {
-                all_halted = false;
-                frontier = frontier.min(cabt_exec::ExecutionEngine::cycle(&*shard));
-            }
-        }
-        if all_halted {
-            frontier = self
-                .shards
-                .iter()
-                .map(|s| cabt_exec::ExecutionEngine::cycle(&*lock_ok(s)))
-                .max()
-                .unwrap_or(0);
-        }
-        (frontier, all_halted)
-    }
-
-    fn aggregate_retired(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| cabt_exec::ExecutionEngine::engine_stats(&*lock_ok(s)).retired)
-            .sum()
-    }
-
-    fn aggregate_stats(&self) -> EngineStats {
-        let mut agg = EngineStats::default();
-        for slot in &self.shards {
-            let s = cabt_exec::ExecutionEngine::engine_stats(&*lock_ok(slot));
-            agg.retired += s.retired;
-            agg.stall_cycles += s.stall_cycles;
-            agg.cycles = agg.cycles.max(s.cycles);
-        }
-        agg
-    }
-
-    fn commit_all(&self) {
-        for slot in &self.shards {
-            cabt_exec::ExecutionEngine::commit_arch_state(&mut *lock_ok(slot));
-        }
-    }
-
-    /// Barrier work at the end of a round: exchange device state (when
-    /// the unit has a fabric) and extend the per-epoch digest chain.
-    fn complete_round(&self) {
-        if let Some(arbiter) = lock_ok(&self.arbiter).as_mut() {
-            arbiter.exchange();
-        }
-        let mut progress = lock_ok(&self.progress);
-        progress.0 += 1;
-        for slot in &self.shards {
-            let digest = fingerprint_engine(&*lock_ok(slot));
-            progress.1.mix_u64(digest);
-        }
-    }
-
-    /// Records the outcome and releases the caller's handle *before*
-    /// counting down, so the batch driver's `Arc::into_inner` cannot
-    /// race the completing worker.
-    fn finish(self: Arc<Self>, outcome: Result<StopCause, SessionError>, latch: &Latch) {
-        *lock_ok(&self.outcome) = Some(outcome);
-        drop(self);
-        latch.count_down();
-    }
-
-    /// Collects the finished unit into a [`FleetResult`]. Works on a
-    /// shared handle — a worker that has decremented the round counter
-    /// may still hold its `Arc` briefly after the latch fires, so the
-    /// batch driver cannot assume unique ownership.
-    fn take_result(&self) -> Result<FleetResult, SessionError> {
-        let stats = self.aggregate_stats();
-        let stop = lock_ok(&self.outcome).take().ok_or_else(|| {
-            SessionError::Service(
-                "fleet unit finished without an outcome (worker died mid-round)".into(),
-            )
-        })??;
-        let mut digest = Fingerprint::new();
-        for slot in &self.shards {
-            digest.mix_u64(fingerprint_engine(&*lock_ok(slot)));
-        }
-        let uart = match lock_ok(&self.arbiter).as_ref() {
-            Some(arbiter) => arbiter.uart_log(),
-            None => {
-                let shard = lock_ok(&self.shards[0]);
-                shard
-                    .soc_bus_handle()
-                    .map_or_else(Vec::new, |b| b.uart_log())
-            }
-        };
-        let d2 = lock_ok(&self.shards[0]).read_d(2);
-        let (epochs, chain) = *lock_ok(&self.progress);
-        Ok(FleetResult {
-            workload: self.workload.clone(),
-            backend: self.backend,
-            stop,
-            stats,
-            epochs,
-            digest: digest.digest(),
-            epoch_chain: chain.digest(),
-            d2,
-            expected_d2: self.expected_d2,
-            uart,
-        })
-    }
-}
-
-/// What the next round of one unit should do — the fleet-side
-/// reflection of [`cabt_exec::EpochPlan`], extended with the
-/// retirement-budget arithmetic of sharded sessions.
-enum RoundPlan {
-    Done(StopCause),
-    Round {
-        deadline: u64,
-        commit_boundary_halts: bool,
-        live: Vec<usize>,
-    },
-}
-
-fn plan_round(unit: &UnitState) -> RoundPlan {
-    let (frontier, all_halted) = unit.frontier();
-    match unit.budget {
-        Limit::Cycles(max_cycles) => {
-            match plan_epoch_round(frontier, all_halted, max_cycles, unit.epoch) {
-                EpochPlan::LimitReached => RoundPlan::Done(StopCause::LimitReached),
-                EpochPlan::Halted => {
-                    unit.commit_all();
-                    RoundPlan::Done(StopCause::Halted)
-                }
-                EpochPlan::Round { deadline } => RoundPlan::Round {
-                    deadline,
-                    commit_boundary_halts: true,
-                    live: live_below(unit, deadline),
-                },
-            }
-        }
-        // Aggregate retirement budget: the same round arithmetic as the
-        // sharded session driver — room shrinks as the budget drains, a
-        // shard retires at most one unit per cycle, and boundary halts
-        // commit only when the whole set has halted.
-        Limit::Retirements(budget) => {
-            if unit.aggregate_retired() >= budget {
-                return RoundPlan::Done(StopCause::LimitReached);
-            }
-            if all_halted {
-                unit.commit_all();
-                return RoundPlan::Done(StopCause::Halted);
-            }
-            let room = ((budget - unit.aggregate_retired()) / unit.shards.len() as u64)
-                .clamp(1, unit.epoch);
-            let deadline = frontier.saturating_add(room);
-            RoundPlan::Round {
-                deadline,
-                commit_boundary_halts: false,
-                live: live_below(unit, deadline),
-            }
-        }
-    }
-}
-
-fn live_below(unit: &UnitState, deadline: u64) -> Vec<usize> {
-    unit.shards
-        .iter()
-        .enumerate()
-        .filter(|(_, slot)| {
-            let shard = lock_ok(slot);
-            !cabt_exec::ExecutionEngine::is_halted(&*shard)
-                && cabt_exec::ExecutionEngine::cycle(&*shard) < deadline
-        })
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Plans and schedules the unit's next round. Called once per unit from
-/// [`run_fleet`], then again from whichever pool job completes the last
-/// shard of each round — event-driven, no per-session coordinator
-/// thread blocks anywhere.
-fn schedule_round(unit: Arc<UnitState>, core: Arc<pool::PoolCore>, latch: Arc<Latch>) {
-    let fault = lock_ok(&unit.fault).take();
-    if let Some(fault) = fault {
-        unit.finish(Err(fault), &latch);
-        return;
-    }
-    match plan_round(&unit) {
-        RoundPlan::Done(stop) => unit.finish(Ok(stop), &latch),
-        RoundPlan::Round {
-            deadline,
-            commit_boundary_halts,
-            live,
-        } => {
-            unit.remaining.store(live.len(), Ordering::Release);
-            for i in live {
-                let (unit, core2, latch) =
-                    (Arc::clone(&unit), Arc::clone(&core), Arc::clone(&latch));
-                core.push(Box::new(move || {
-                    let result = {
-                        let mut shard = lock_ok(&unit.shards[i]);
-                        run_shard_to_deadline(&mut *shard, deadline, commit_boundary_halts)
-                    };
-                    if let Err(e) = result {
-                        let mut fault = lock_ok(&unit.fault);
-                        if fault.is_none() {
-                            *fault = Some(e);
-                        }
-                    }
-                    if unit.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        unit.complete_round();
-                        schedule_round(unit, Arc::clone(&core2), latch);
-                    }
-                }));
-            }
-        }
-    }
+    let uart = match &out.ctx.arbiter {
+        Some(arbiter) => arbiter.uart_log(),
+        None => out.shards[0]
+            .soc_bus_handle()
+            .map_or_else(Vec::new, |b| b.uart_log()),
+    };
+    Ok(FleetResult {
+        workload: req.workload.clone(),
+        backend: req.backend,
+        stop,
+        stats: aggregate_stats(&out.shards),
+        epochs: out.ctx.epochs,
+        digest: digest.digest(),
+        epoch_chain: out.ctx.chain.digest(),
+        d2: out.shards[0].read_d(2),
+        expected_d2,
+        uart,
+    })
 }
 
 /// Runs every request to completion on the pool and returns the results
@@ -467,22 +206,59 @@ fn schedule_round(unit: Arc<UnitState>, core: Arc<pool::PoolCore>, latch: Arc<La
 /// whatever the worker count (the per-epoch digest chain in
 /// [`FleetResult::epoch_chain`] is the receipt).
 ///
-/// Build failures (unknown workload, invalid configuration) are
-/// reported per request; they do not abort the batch.
+/// Build failures (unknown workload, invalid configuration) and shard
+/// panics ([`SessionError::Service`]) are reported per request; they
+/// do not abort the batch.
 pub fn run_fleet(
     pool: &FleetPool,
     requests: &[FleetRequest],
 ) -> Vec<Result<FleetResult, SessionError>> {
-    let mut units: Vec<Result<Arc<UnitState>, SessionError>> = Vec::with_capacity(requests.len());
-    for req in requests {
-        units.push(UnitState::build(req).map(Arc::new));
-    }
-    let latch = Arc::new(Latch::new(units.iter().filter(|u| u.is_ok()).count()));
-    for unit in units.iter().flatten() {
-        schedule_round(Arc::clone(unit), pool.core(), Arc::clone(&latch));
+    type Slot = Option<Result<FleetResult, SessionError>>;
+    let results: Arc<Mutex<Vec<Slot>>> = Arc::new(Mutex::new(vec![None; requests.len()]));
+    let latch = Arc::new(Latch::new(requests.len()));
+    for (i, req) in requests.iter().enumerate() {
+        let (results, latch) = (Arc::clone(&results), Arc::clone(&latch));
+        let report = move |result| {
+            results.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(result);
+            latch.count_down();
+        };
+        match build(req) {
+            Err(e) => report(Err(e)),
+            Ok((parts, expected_d2)) => {
+                let progress = Progress {
+                    arbiter: parts.arbiter,
+                    epochs: 0,
+                    chain: Fingerprint::new(),
+                };
+                let req = req.clone();
+                pool.submit_epoch_rounds(
+                    parts.shards,
+                    progress,
+                    req.budget,
+                    parts.epoch,
+                    |p, shards| {
+                        if let Some(arbiter) = &mut p.arbiter {
+                            arbiter.exchange();
+                        }
+                        p.epochs += 1;
+                        for shard in shards {
+                            p.chain.mix_u64(fingerprint_engine(&**shard));
+                        }
+                    },
+                    move |outcome| report(fleet_result(&req, expected_d2, outcome)),
+                );
+            }
+        }
     }
     latch.wait();
-    units.into_iter().map(|unit| unit?.take_result()).collect()
+    let mut results = results.lock().unwrap_or_else(PoisonError::into_inner);
+    results
+        .iter_mut()
+        .map(|slot| {
+            slot.take()
+                .expect("every request reports before the latch opens")
+        })
+        .collect()
 }
 
 /// Convenience single-session entry: one request, run to completion on
@@ -617,6 +393,16 @@ mod tests {
         .unwrap();
         assert_eq!(r.stop, StopCause::LimitReached);
         assert!(r.stats.retired >= 1_000);
+    }
+
+    #[test]
+    fn a_shard_panic_is_a_service_error_of_its_request() {
+        let err =
+            fleet_result(&FleetRequest::named("gcd"), 0, Err(Box::new("engine bug"))).unwrap_err();
+        assert!(
+            matches!(&err, SessionError::Service(msg) if msg.contains("engine bug")),
+            "{err:?}"
+        );
     }
 
     #[test]

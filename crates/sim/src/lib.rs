@@ -92,7 +92,7 @@ pub enum Backend {
     /// canonical image broadcast back to every shard — so runs, and
     /// snapshot-restore replays, are deterministic and *schedule
     /// independent*: the sequential round-robin scheduler and the
-    /// thread-parallel scheduler ([`ShardSchedule`]) produce
+    /// pooled scheduler ([`ShardSchedule`]) produce
     /// bit-identical state. Each shard is seeded with its core id in
     /// source register `%d15` (shard 0 keeps the conventional
     /// single-core role), which is how SPMD workloads like
@@ -113,29 +113,24 @@ pub enum Backend {
 
 /// How a sharded session's epoch rounds execute on the host.
 ///
-/// All schedules run the *same* deterministic protocol — identical
-/// epoch deadlines, identical barrier exchanges — and therefore
-/// produce bit-identical simulations; they differ only in wall-clock
-/// scaling. `tests/parallel_determinism.rs` pins the equivalence.
+/// Both schedules execute the rounds of one planner
+/// (`cabt_exec::plan_epoch_round`) — identical epoch deadlines,
+/// identical barrier exchanges, under cycle and retirement budgets
+/// alike — and therefore produce bit-identical simulations; they
+/// differ only in wall-clock scaling. `tests/parallel_determinism.rs`
+/// pins the equivalence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardSchedule {
-    /// One host thread runs every shard round-robin
-    /// (`cabt_exec::run_epochs_sharded`).
+    /// The calling thread runs every shard round-robin
+    /// (`cabt_exec::run_epoch_rounds`).
     #[default]
     Sequential,
-    /// One worker thread per live shard per round
-    /// (`cabt_exec::run_epochs_parallel`): aggregate throughput scales
-    /// with host cores, not just simulated ones.
-    Parallel,
     /// Shard rounds as work items on a fixed worker pool
-    /// (`cabt_exec::pool::run_epochs_pooled`): no thread is spawned per
-    /// round, so host parallelism stays bounded at NoC scale (64–256
-    /// shards on a handful of workers). The value is the worker count;
-    /// `0` sizes the pool to the host's available parallelism. The
-    /// pool schedules cycle-bounded runs; retirement-budgeted rounds
-    /// (the stepping/debug path) run sequentially — the rounds are
-    /// schedule-independent, so the result is bit-identical either
-    /// way.
+    /// (`cabt_exec::pool::FleetPool::run_epoch_rounds`): no thread is
+    /// spawned per round, so host parallelism stays bounded at NoC
+    /// scale (64–256 shards on a handful of workers). The value is the
+    /// worker count; `0` sizes the pool to the host's available
+    /// parallelism.
     Pooled(u16),
 }
 
@@ -243,18 +238,6 @@ impl Backend {
         Self::sharded_with_schedule(cores, base, ShardSchedule::Sequential)
     }
 
-    /// A sharded multi-core session run by the thread-parallel
-    /// scheduler: one worker thread per shard per epoch round,
-    /// bit-identical to [`Backend::sharded`] but scaling with host
-    /// cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is itself [`Backend::Sharded`].
-    pub fn sharded_parallel(cores: u16, base: Backend) -> Self {
-        Self::sharded_with_schedule(cores, base, ShardSchedule::Parallel)
-    }
-
     /// A sharded multi-core session scheduled on a fixed worker pool:
     /// epoch rounds become pool work items instead of per-round
     /// threads, bit-identical to [`Backend::sharded`] but scaling to
@@ -336,7 +319,6 @@ impl fmt::Display for Backend {
                 schedule,
             } => match schedule {
                 ShardSchedule::Sequential => write!(f, "sharded-{cores}x:{backend}"),
-                ShardSchedule::Parallel => write!(f, "sharded-{cores}x-par:{backend}"),
                 ShardSchedule::Pooled(workers) => {
                     write!(f, "sharded-{cores}x-pool{workers}:{backend}")
                 }
@@ -347,7 +329,9 @@ impl fmt::Display for Backend {
 
 /// [`Backend`] parses back from its [`Display`](fmt::Display) form —
 /// the descriptor syntax CLI flags, the fleet server's request lines
-/// and the park envelope all share:
+/// and the park envelope all share. The retired thread-parallel
+/// schedule's `sharded-{N}x-par:` spelling still parses, as the pooled
+/// schedule at host parallelism, so old park envelopes resume:
 ///
 /// ```
 /// use cabt_sim::Backend;
@@ -356,8 +340,12 @@ impl fmt::Display for Backend {
 ///     assert_eq!(b.to_string().parse::<Backend>().unwrap(), b);
 /// }
 /// assert_eq!(
-///     "sharded-4x-par:translated:cache:compiled".parse::<Backend>().unwrap(),
-///     Backend::sharded_parallel(4, Backend::translated_compiled(cabt_core::DetailLevel::Cache)),
+///     "sharded-4x:translated:cache:compiled".parse::<Backend>().unwrap(),
+///     Backend::sharded(4, Backend::translated_compiled(cabt_core::DetailLevel::Cache)),
+/// );
+/// assert_eq!(
+///     "sharded-4x-par:golden".parse::<Backend>().unwrap(),
+///     Backend::sharded_pooled(4, 0, Backend::golden()),
 /// );
 /// assert_eq!(
 ///     "sharded-64x-pool8:golden".parse::<Backend>().unwrap(),
@@ -369,15 +357,15 @@ impl std::str::FromStr for Backend {
 
     fn from_str(s: &str) -> Result<Self, SessionError> {
         let err = || SessionError::ParseBackend(s.to_string());
-        // `sharded-{N}x:{base}` / `sharded-{N}x-par:{base}` /
-        // `sharded-{N}x-pool{W}:{base}`.
+        // `sharded-{N}x:{base}` / `sharded-{N}x-pool{W}:{base}`, plus
+        // the legacy `sharded-{N}x-par:{base}` (= `-pool0`).
         if let Some(rest) = s.strip_prefix("sharded-") {
             let (head, base) = rest.split_once(':').ok_or_else(err)?;
             let (digits, schedule) = if let Some((d, w)) = head.split_once("x-pool") {
                 (d, ShardSchedule::Pooled(w.parse().map_err(|_| err())?))
             } else {
                 match head.strip_suffix("x-par") {
-                    Some(d) => (d, ShardSchedule::Parallel),
+                    Some(d) => (d, ShardSchedule::Pooled(0)),
                     None => (
                         head.strip_suffix('x').ok_or_else(err)?,
                         ShardSchedule::Sequential,
@@ -894,23 +882,11 @@ impl SimBuilder {
             shard_epoch: self.shard_epoch,
             trace_config: self.trace_config,
         };
-        let vehicle = Self::build_vehicle(
-            &elf,
-            self.backend,
-            self.platform,
-            self.granularity,
-            self.soc_bus,
-            self.shard_epoch,
-            self.trace_config,
-        )?;
         Ok(Session {
-            vehicle,
-            elf,
-            backend: self.backend,
-            config,
             epoch: self.epoch,
             on_epoch: self.on_epoch,
             on_stop: self.on_stop,
+            ..Session::assemble(elf, self.backend, config, self.soc_bus)?
         })
     }
 
@@ -918,12 +894,15 @@ impl SimBuilder {
     fn build_vehicle(
         elf: &ElfFile,
         backend: Backend,
-        platform_cfg: PlatformConfig,
-        granularity: Granularity,
+        config: BuildConfig,
         soc_bus: Option<SharedSocBus>,
-        shard_epoch: Option<u64>,
-        trace_config: Option<TraceConfig>,
     ) -> Result<Vehicle, SessionError> {
+        let BuildConfig {
+            platform: platform_cfg,
+            trace_config,
+            granularity,
+            ..
+        } = config;
         Ok(match backend {
             Backend::Golden { dispatch } => {
                 let mut sim = Simulator::new(elf)?;
@@ -978,14 +957,7 @@ impl SimBuilder {
                     ));
                 }
                 Vehicle::Sharded(Box::new(ShardSet::build(
-                    elf,
-                    cores,
-                    backend,
-                    schedule,
-                    platform_cfg,
-                    granularity,
-                    shard_epoch,
-                    trace_config,
+                    elf, cores, backend, schedule, config,
                 )?))
             }
         })
@@ -1230,13 +1202,6 @@ impl fmt::Debug for SessionSnapshot {
 /// forever waiting for traffic from a shard that never gets to run.
 const SHARD_EPOCH_CYCLES: u64 = 4096;
 
-/// Minimum round length (target cycles) worth paying a worker-thread
-/// spawn per shard for: retirement-budgeted rounds whose cycle room
-/// has drained below this run on the calling thread instead — rounds
-/// are schedule-independent, so the result is bit-identical either
-/// way.
-const PARALLEL_MIN_ROUND_CYCLES: u64 = 256;
-
 /// Per-shard and aggregate statistics of a [`Backend::Sharded`]
 /// session.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1275,16 +1240,12 @@ struct ShardSet {
 }
 
 impl ShardSet {
-    #[allow(clippy::too_many_arguments)]
     fn build(
         elf: &ElfFile,
         cores: u16,
         backend: ShardBackend,
         schedule: ShardSchedule,
-        platform_cfg: PlatformConfig,
-        granularity: Granularity,
-        shard_epoch: Option<u64>,
-        trace_config: Option<TraceConfig>,
+        config: BuildConfig,
     ) -> Result<ShardSet, SessionError> {
         // One private device population per shard — each with its own
         // CoreLink identity (core-id register, doorbell window) — plus
@@ -1307,9 +1268,9 @@ impl ShardSet {
         // One SyncRate epoch of target cycles when the configuration
         // bounds one, else the fallback granularity; an explicit
         // builder override wins.
-        let epoch = shard_epoch.unwrap_or(match backend {
+        let epoch = config.shard_epoch.unwrap_or(match backend {
             ShardBackend::Translated { .. } => {
-                let e = platform_cfg.epoch_target_cycles();
+                let e = config.platform.epoch_target_cycles();
                 if e == u64::MAX {
                     SHARD_EPOCH_CYCLES
                 } else {
@@ -1320,34 +1281,20 @@ impl ShardSet {
         });
         let mut shards = Vec::with_capacity(cores as usize);
         for id in 0..cores {
-            let vehicle = SimBuilder::build_vehicle(
-                elf,
+            let mut shard = Session::assemble(
+                elf.clone(),
                 backend.into(),
-                platform_cfg,
-                granularity,
+                BuildConfig {
+                    shard_epoch: None,
+                    ..config
+                },
                 // RTL shards have no I/O window; the builder ignores
                 // the bus for them.
                 match backend {
                     ShardBackend::Rtl => None,
                     _ => Some(buses[usize::from(id)].clone()),
                 },
-                None,
-                trace_config,
             )?;
-            let mut shard = Session {
-                vehicle,
-                elf: elf.clone(),
-                backend: backend.into(),
-                config: BuildConfig {
-                    platform: platform_cfg,
-                    granularity,
-                    shard_epoch: None,
-                    trace_config,
-                },
-                epoch: DEFAULT_EPOCH,
-                on_epoch: Vec::new(),
-                on_stop: Vec::new(),
-            };
             shard.write_d(15, u32::from(id));
             shards.push(shard);
         }
@@ -1385,16 +1332,10 @@ impl ShardSet {
             .map(|(i, _)| i)
     }
 
-    /// Runs cycle-bounded epochs on the session's worker pool: shards
-    /// and arbiter move into the run (pool jobs are `'static`) and come
-    /// back when it completes. The schedule decisions are the same
-    /// `plan_epoch_round` the in-process drivers use, so the result is
-    /// bit-identical to them.
-    fn run_cycles_pooled(
-        &mut self,
-        max_cycles: u64,
-        workers: u16,
-    ) -> Result<StopCause, SessionError> {
+    /// Runs epoch rounds on the session's worker pool: shards and
+    /// arbiter move into the run (pool jobs are `'static`) and come
+    /// back when it completes.
+    fn run_pooled(&mut self, limit: Limit, workers: u16) -> Result<StopCause, SessionError> {
         let pool = self.pool.get_or_insert_with(|| {
             if workers == 0 {
                 cabt_exec::pool::FleetPool::with_host_parallelism()
@@ -1407,88 +1348,26 @@ impl ShardSet {
             &mut self.arbiter,
             ShardArbiter::new(cabt_platform::mirror_soc_bus(0), Vec::new()),
         );
-        let out = cabt_exec::pool::run_epochs_pooled(
-            pool,
-            shards,
-            arbiter,
-            max_cycles,
-            self.epoch,
-            true,
-            |arb| {
-                arb.exchange();
-            },
-        );
+        let out = pool.run_epoch_rounds(shards, arbiter, limit, self.epoch, |arb, _| {
+            arb.exchange();
+        });
         self.shards = out.shards;
         self.arbiter = out.ctx;
         out.stop
     }
 
+    /// Epoch rounds to `limit` (see `cabt_exec::plan_epoch_round`): the
+    /// schedule picks the executor, the limit picks the round
+    /// arithmetic.
     fn run_until(&mut self, limit: Limit) -> Result<StopCause, SessionError> {
-        if let (Limit::Cycles(c), ShardSchedule::Pooled(workers)) = (limit, self.schedule) {
-            let result = self.run_cycles_pooled(c, workers);
-            self.step_exchange_at = self.frontier().saturating_add(self.epoch);
-            return result;
-        }
-        let ShardSet {
-            shards,
-            arbiter,
-            epoch,
-            schedule,
-            ..
-        } = self;
-        let result = match limit {
-            Limit::Cycles(c) => match schedule {
-                ShardSchedule::Sequential | ShardSchedule::Pooled(_) => {
-                    cabt_exec::run_epochs_sharded(shards, c, *epoch, |_| {
-                        arbiter.exchange();
-                    })
-                }
-                ShardSchedule::Parallel => {
-                    cabt_exec::run_epochs_parallel(shards, c, *epoch, |_| {
-                        arbiter.exchange();
-                    })
-                }
-            },
-            Limit::Retirements(r) => {
-                // Epoch rounds against an aggregate retirement budget.
-                // Cycle deadlines shrink as the budget drains (a shard
-                // retires at most one unit per cycle), so the final
-                // rounds advance one unit per shard and the aggregate
-                // overshoots by fewer than `cores` units. The round body
-                // is identical under both schedules (no boundary-halt
-                // commit inside the round — the all-halted branch
-                // commits), so sequential and parallel stay
-                // bit-identical here too.
-                loop {
-                    let retired: u64 = shards.iter().map(|s| s.engine_stats().retired).sum();
-                    if retired >= r {
-                        break Ok(StopCause::LimitReached);
-                    }
-                    let (frontier, all_halted) = cabt_exec::shard_frontier(shards.as_slice());
-                    if all_halted {
-                        for s in shards.iter_mut() {
-                            s.commit_arch_state();
-                        }
-                        break Ok(StopCause::Halted);
-                    }
-                    let room = ((r - retired) / shards.len() as u64).clamp(1, *epoch);
-                    let deadline = frontier.saturating_add(room);
-                    // Tiny endgame rounds (the budget drained to a few
-                    // cycles of room) are not worth a worker spawn per
-                    // shard: rounds are schedule-independent, so the
-                    // sequential body is observably identical.
-                    let parallel_worthwhile = room >= PARALLEL_MIN_ROUND_CYCLES;
-                    match schedule {
-                        ShardSchedule::Parallel if parallel_worthwhile => {
-                            cabt_exec::run_shard_round_parallel(shards, deadline, false)?;
-                        }
-                        _ => {
-                            cabt_exec::run_shard_round_sequential(shards, deadline, false)?;
-                        }
-                    }
+        let result = match self.schedule {
+            ShardSchedule::Sequential => {
+                let arbiter = &mut self.arbiter;
+                cabt_exec::run_epoch_rounds(&mut self.shards, limit, self.epoch, |_| {
                     arbiter.exchange();
-                }
+                })
             }
+            ShardSchedule::Pooled(workers) => self.run_pooled(limit, workers),
         };
         // Re-arm the single-step path's barrier bookkeeping from
         // wherever the run left the frontier.
@@ -1930,26 +1809,29 @@ impl Session {
     /// does not parse; plus the usual build errors.
     pub fn resume(bytes: &[u8]) -> Result<Session, SessionError> {
         let (backend, config, elf, snapshot) = Self::decode_park(bytes)?;
-        let vehicle = SimBuilder::build_vehicle(
-            &elf,
-            backend,
-            config.platform,
-            config.granularity,
-            None,
-            config.shard_epoch,
-            config.trace_config,
-        )?;
-        let mut session = Session {
-            vehicle,
+        let mut session = Session::assemble(elf, backend, config, None)?;
+        session.restore(&snapshot);
+        Ok(session)
+    }
+
+    /// Builds the vehicle for `backend` around `elf` into a session
+    /// without observers — the one construction path of builds, shard
+    /// sets, resumes and shard adoptions.
+    fn assemble(
+        elf: ElfFile,
+        backend: Backend,
+        config: BuildConfig,
+        soc_bus: Option<SharedSocBus>,
+    ) -> Result<Session, SessionError> {
+        Ok(Session {
+            vehicle: SimBuilder::build_vehicle(&elf, backend, config, soc_bus)?,
             elf,
             backend,
             config,
             epoch: DEFAULT_EPOCH,
             on_epoch: Vec::new(),
             on_stop: Vec::new(),
-        };
-        session.restore(&snapshot);
-        Ok(session)
+        })
     }
 
     /// Parses and validates a park envelope without building a vehicle —
@@ -2074,24 +1956,7 @@ impl Session {
             Backend::Rtl => None,
             _ => Some(set.arbiter.bus(i)),
         };
-        let vehicle = SimBuilder::build_vehicle(
-            &elf,
-            backend,
-            config.platform,
-            config.granularity,
-            bus,
-            config.shard_epoch,
-            config.trace_config,
-        )?;
-        let mut shard = Session {
-            vehicle,
-            elf,
-            backend,
-            config,
-            epoch: DEFAULT_EPOCH,
-            on_epoch: Vec::new(),
-            on_stop: Vec::new(),
-        };
+        let mut shard = Session::assemble(elf, backend, config, bus)?;
         shard.restore(&snapshot);
         set.shards[i] = shard;
         Ok(())
@@ -2117,6 +1982,39 @@ impl Session {
     pub fn soc_bus_handle(&self) -> Option<SharedSocBus> {
         self.vehicle.device_bus()
     }
+
+    /// Takes the session apart into independently schedulable shards —
+    /// how an external epoch scheduler (the fleet service) drives it
+    /// through `cabt_exec`'s executors. A sharded session yields its
+    /// shard sessions, barrier arbiter and epoch; any other session
+    /// comes back as a one-shard set without an arbiter, scheduled in
+    /// epochs of the builder's [`SimBuilder::shard_epoch`] (default
+    /// 4096 target cycles).
+    pub fn into_shard_parts(self) -> ShardParts {
+        match self.vehicle {
+            Vehicle::Sharded(set) => ShardParts {
+                shards: set.shards,
+                arbiter: Some(set.arbiter),
+                epoch: set.epoch,
+            },
+            _ => ShardParts {
+                epoch: self.config.shard_epoch.unwrap_or(SHARD_EPOCH_CYCLES),
+                shards: vec![self],
+                arbiter: None,
+            },
+        }
+    }
+}
+
+/// A session taken apart by [`Session::into_shard_parts`].
+pub struct ShardParts {
+    /// The shard sessions, in shard order.
+    pub shards: Vec<Session>,
+    /// The epoch-barrier arbiter of a sharded session; `None` for a
+    /// single-core session, which has no device fabric to reconcile.
+    pub arbiter: Option<ShardArbiter>,
+    /// Target cycles per scheduling epoch.
+    pub epoch: u64,
 }
 
 impl ExecutionEngine for Session {
@@ -2234,14 +2132,14 @@ impl ExecutionEngine for Session {
     /// See the trait contract — identical across backends. On sharded
     /// sessions the budget binds the *frontier* clock (the
     /// least-advanced live shard) and execution advances in
-    /// epoch-synchronized rounds via [`cabt_exec::run_epochs_sharded`];
+    /// epoch-synchronized rounds via [`cabt_exec::plan_epoch_round`];
     /// aggregate `Retirements` budgets may overshoot by fewer than
     /// `cores` units (shards advance in lockstep).
     fn run_until(&mut self, limit: Limit) -> Result<StopCause, SessionError> {
         match &mut self.vehicle {
-            // Both ShardSet paths check the budget before the halt on
-            // their first iteration, preserving the uniform entry
-            // semantics (an exhausted budget dispatches nothing).
+            // The round planner checks the budget before the halt,
+            // preserving the uniform entry semantics (an exhausted
+            // budget dispatches nothing).
             Vehicle::Sharded(set) => set.run_until(limit),
             _ => {
                 // Default trait loop, spelled out because the match arm
@@ -2508,7 +2406,6 @@ mod tests {
         for base in singles {
             for schedule in [
                 ShardSchedule::Sequential,
-                ShardSchedule::Parallel,
                 ShardSchedule::Pooled(0),
                 ShardSchedule::Pooled(8),
             ] {

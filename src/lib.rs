@@ -85,14 +85,14 @@
 //! delivers CoreLink doorbell messages (per-shard MMIO: core-id
 //! register plus per-core mailboxes, `docs/sharding.md`). Because
 //! shards are isolated inside an epoch, the run is *schedule
-//! independent*: the sequential round-robin scheduler
-//! ([`cabt_exec::run_epochs_sharded`]), the thread-parallel
-//! scheduler ([`cabt_exec::run_epochs_parallel`], one worker thread
-//! per shard, aggregate throughput scaling with host cores) and the
-//! pooled scheduler ([`cabt_exec::run_epochs_pooled`], shard rounds
-//! as work items on a fixed `FleetPool` — the NoC-scale driver)
-//! produce bit-identical runs — same session lifecycle, merged UART
-//! logs, per-shard plus aggregate statistics, live shard migration at
+//! independent*: every round is decided by one planner
+//! ([`cabt_exec::plan_epoch_round`]), and its two executors — the
+//! sequential round-robin scheduler ([`cabt_exec::run_epoch_rounds`])
+//! and the pooled scheduler (shard rounds as work items on a fixed
+//! `FleetPool`, aggregate throughput scaling with host cores — the
+//! NoC-scale driver) — produce bit-identical runs: same session
+//! lifecycle, merged UART logs, per-shard plus aggregate statistics,
+//! live shard migration at
 //! barriers ([`cabt_sim::Session::park_shard`]/`adopt_shard`), pinned
 //! by `tests/parallel_determinism.rs`:
 //!
@@ -109,9 +109,9 @@
 //! assert_eq!(mc.shard(1).unwrap().read_d(2), w.expected_d2);
 //! assert_eq!(mc.sharded_stats().unwrap().uart.len(), 2);
 //!
-//! // The thread-parallel scheduler simulates the identical run.
+//! // The pooled scheduler (two pool workers) simulates the identical run.
 //! let mut par = SimBuilder::workload(&w)
-//!     .backend(Backend::sharded_parallel(2, Backend::translated(DetailLevel::Static)))
+//!     .backend(Backend::sharded_pooled(2, 2, Backend::translated(DetailLevel::Static)))
 //!     .build()?;
 //! par.run(Limit::Cycles(50_000_000))?;
 //! assert_eq!(par.sharded_stats(), mc.sharded_stats());

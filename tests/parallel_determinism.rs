@@ -1,10 +1,9 @@
 //! The determinism contract of concurrent shard execution:
-//! `ShardSchedule::Parallel` (one worker thread per shard per epoch
-//! round, `cabt_exec::run_epochs_parallel`) and
 //! `ShardSchedule::Pooled` (rounds as work items on a fixed pool,
-//! `cabt_exec::pool::run_epochs_pooled`) must both be **bit-identical**
-//! to `ShardSchedule::Sequential` (round-robin,
-//! `cabt_exec::run_epochs_sharded`) — per-shard registers, per-shard
+//! `cabt_exec::pool::FleetPool::run_epoch_rounds`) must be
+//! **bit-identical** to `ShardSchedule::Sequential` (round-robin,
+//! `cabt_exec::run_epoch_rounds`) at every worker count — per-shard
+//! registers, per-shard
 //! data memory, cycle counts, `EngineStats`, the merged UART log, the
 //! canonical SoC device state, and the stop cause all have to match,
 //! whatever the host's thread scheduling did. The NoC-scale cases (N =
@@ -136,11 +135,11 @@ fn assert_schedules_agree(label: &str, w: &Workload, cores: u16, base: Backend, 
         observe(&mut s, Some(stop))
     };
     let seq = drive(ShardSchedule::Sequential);
-    let par = drive(ShardSchedule::Parallel);
+    let par = drive(ShardSchedule::Pooled(1));
     let pooled = drive(ShardSchedule::Pooled(3));
     assert_eq!(
         seq, par,
-        "{label}: {cores}x{base} parallel run diverged from sequential"
+        "{label}: {cores}x{base} 1-worker pooled run diverged from sequential"
     );
     assert_eq!(
         seq, pooled,
@@ -160,20 +159,20 @@ fn producer_consumer_is_schedule_independent_at_2_4_8_shards() {
             Backend::translated(DetailLevel::Cache),
         ] {
             assert_schedules_agree("producer_consumer", &w, cores, base, BUDGET);
-            // And the parallel run is *correct*, not just consistent.
-            let mut s = build(&w, cores, base, ShardSchedule::Parallel);
+            // And the pooled run is *correct*, not just consistent.
+            let mut s = build(&w, cores, base, ShardSchedule::Pooled(2));
             assert_eq!(s.run_until(BUDGET).unwrap(), StopCause::Halted);
             for i in 0..cores as usize {
                 assert_eq!(
                     s.shard(i).unwrap().read_d(2),
                     w.expected_d2,
-                    "{cores}x{base} core {i}: parallel mailbox handoff"
+                    "{cores}x{base} core {i}: pooled mailbox handoff"
                 );
             }
             assert_eq!(
                 s.sharded_stats().unwrap().uart.len(),
                 cores as usize,
-                "{cores}x{base}: merged UART log under the parallel scheduler"
+                "{cores}x{base}: merged UART log under the pooled scheduler"
             );
         }
     }
@@ -218,7 +217,7 @@ fn every_base_backend_runs_parallel_shards() {
     };
     for base in Backend::all() {
         assert_schedules_agree("sum10", &sum, 3, base, BUDGET);
-        let mut s = build(&sum, 3, base, ShardSchedule::Parallel);
+        let mut s = build(&sum, 3, base, ShardSchedule::Pooled(2));
         assert_eq!(s.run_until(BUDGET).unwrap(), StopCause::Halted, "{base}");
         for i in 0..3 {
             assert_eq!(s.shard(i).unwrap().read_d(2), 55, "{base} shard {i}");
@@ -229,7 +228,8 @@ fn every_base_backend_runs_parallel_shards() {
 #[test]
 fn partial_runs_and_retirement_budgets_are_schedule_independent() {
     // Mid-flight equivalence: the schedulers must agree not only at
-    // halt but at every budget boundary, under both budget kinds.
+    // halt but at every budget boundary, under both budget kinds —
+    // retirement budgets run on the pool too.
     let w = cabt_workloads::by_name("producer_consumer").unwrap();
     for base in [
         Backend::golden(),
@@ -342,10 +342,10 @@ fn randomized_spmd_programs_are_schedule_independent() {
                     (digest, full, s.is_halted(), uart_len)
                 };
                 let (dseq, fseq, halted, uart_len) = drive(ShardSchedule::Sequential);
-                let (dpar, fpar, _, _) = drive(ShardSchedule::Parallel);
+                let (dpar, fpar, _, _) = drive(ShardSchedule::Pooled(2));
                 assert_eq!(
                     dseq, dpar,
-                    "seed {seed:#x} ({cores}x{base}): parallel digest diverged — replay with \
+                    "seed {seed:#x} ({cores}x{base}): pooled digest diverged — replay with \
                      random_spmd_program({seed:#x})"
                 );
                 assert_eq!(
@@ -364,28 +364,28 @@ fn randomized_spmd_programs_are_schedule_independent() {
 
 #[test]
 fn repeated_parallel_runs_are_deterministic() {
-    // Not just parallel == sequential: parallel == parallel, run after
-    // run and after an in-session reset, whatever the thread timing.
+    // Not just pooled == sequential: pooled == pooled, run after run
+    // and after an in-session reset, whatever the thread timing.
     let w = cabt_workloads::by_name("producer_consumer").unwrap();
     let drive = || {
         let mut s = build(
             &w,
             4,
             Backend::translated(DetailLevel::Static),
-            ShardSchedule::Parallel,
+            ShardSchedule::Pooled(2),
         );
         let stop = s.run_until(BUDGET).expect("runs");
         observe(&mut s, Some(stop))
     };
     let a = drive();
     let b = drive();
-    assert_eq!(a, b, "independent parallel runs diverged");
+    assert_eq!(a, b, "independent pooled runs diverged");
 
     let mut s = build(
         &w,
         4,
         Backend::translated(DetailLevel::Static),
-        ShardSchedule::Parallel,
+        ShardSchedule::Pooled(2),
     );
     s.run_until(BUDGET).expect("runs");
     s.reset();
@@ -394,7 +394,7 @@ fn repeated_parallel_runs_are_deterministic() {
     assert_eq!(
         observe(&mut s, Some(stop)),
         a,
-        "parallel reset + rerun diverged"
+        "pooled reset + rerun diverged"
     );
 }
 
@@ -423,7 +423,7 @@ fn parallel_shard_types_are_send_clean() {
 // --- NoC-scale cases: 64-shard fabric --------------------------------
 
 /// The tentpole claim at NoC scale: a 64-shard producer/consumer run is
-/// bit-identical across all three schedules, and the pooled run is
+/// bit-identical across both schedules, and the pooled run is
 /// *correct* (every consumer sees the producer's checksum through the
 /// barrier-exchanged scratch RAM).
 #[test]
@@ -439,8 +439,8 @@ fn noc_scale_64_shard_fabric_is_schedule_independent() {
     let seq = drive(ShardSchedule::Sequential);
     assert_eq!(
         seq,
-        drive(ShardSchedule::Parallel),
-        "64x parallel diverged from sequential"
+        drive(ShardSchedule::Pooled(1)),
+        "64x 1-worker pooled diverged from sequential"
     );
     assert_eq!(
         seq,
@@ -556,7 +556,7 @@ fn shard_buses_are_private_to_each_shard() {
         &w,
         4,
         Backend::translated(DetailLevel::Static),
-        ShardSchedule::Parallel,
+        ShardSchedule::Pooled(2),
     );
     let handles: Vec<cabt_platform::SharedSocBus> = (0..4)
         .map(|i| {
