@@ -801,8 +801,7 @@ pub fn sharded_throughput(
 /// [`ShardArbiter`](cabt_platform::ShardArbiter) exchange under
 /// producer/consumer-shaped traffic (one producer shard writes the
 /// scratch-RAM buffer and a UART byte each epoch; every other shard is
-/// idle), for the O(traffic) delta barrier against the historical
-/// full-image barrier it replaced.
+/// idle).
 #[derive(Debug, Clone)]
 pub struct BarrierCost {
     /// Shard count of the fabric.
@@ -813,49 +812,30 @@ pub struct BarrierCost {
     pub epochs: u32,
     /// Mean nanoseconds per `exchange` on the delta barrier.
     pub delta_ns_per_epoch: f64,
-    /// Mean nanoseconds per epoch on the full-image baseline
-    /// (`save_state` → [`SocBus::merge_states`](cabt_platform::SocBus::merge_states)
-    /// → `restore_state` of every device, every epoch — the barrier the
-    /// delta journals replaced).
-    pub full_ns_per_epoch: f64,
 }
 
 impl BarrierCost {
-    /// Full-image over delta cost ratio (higher = the journals help
-    /// more at this width).
-    pub fn speedup(&self) -> f64 {
-        self.full_ns_per_epoch / self.delta_ns_per_epoch
-    }
-
     /// Renders one JSON object (hand-rolled; the workspace is
     /// dependency-free).
     pub fn to_json(&self) -> String {
         format!(
             concat!(
                 "{{\"cores\":{},\"words_per_epoch\":{},\"epochs\":{},",
-                "\"delta_ns_per_epoch\":{:.0},\"full_ns_per_epoch\":{:.0},",
-                "\"speedup\":{:.2}}}"
+                "\"delta_ns_per_epoch\":{:.0}}}"
             ),
-            self.cores,
-            self.words_per_epoch,
-            self.epochs,
-            self.delta_ns_per_epoch,
-            self.full_ns_per_epoch,
-            self.speedup(),
+            self.cores, self.words_per_epoch, self.epochs, self.delta_ns_per_epoch,
         )
     }
 }
 
 /// Measures the epoch-barrier cost of an `cores`-shard device fabric
 /// directly — no engines, just the buses and the arbiter — so the
-/// number isolates exactly what the delta-journal refactor changed.
-/// Each epoch, shard 0 rewrites `words_per_epoch` words of the shared
-/// scratch buffer (a fixed working set, as the producer/consumer
-/// workload's handoff buffer is) and transmits one UART byte; the
-/// barrier then reconciles all `cores` buses. The delta fabric runs
-/// the real [`ShardArbiter::exchange`](cabt_platform::ShardArbiter::exchange);
-/// the baseline fabric replays the historical full-image barrier over
-/// the same traffic through the public state API.
+/// number isolates the barrier. Each epoch, shard 0 rewrites
+/// `words_per_epoch` words of the shared scratch buffer (a fixed
+/// working set, as the producer/consumer workload's handoff buffer is)
+/// and transmits one UART byte; the barrier
+/// ([`ShardArbiter::exchange`](cabt_platform::ShardArbiter::exchange))
+/// then reconciles all `cores` buses.
 ///
 /// # Panics
 ///
@@ -868,52 +848,22 @@ pub fn barrier_cost(cores: u16, words_per_epoch: u32, epochs: u32) -> BarrierCos
         "producer traffic outside the shared scratch buffer"
     );
     let n = u32::from(cores);
-    let make_buses = || -> Vec<SharedSocBus> {
-        (0..n)
-            .map(|id| SharedSocBus::new(shard_soc_bus(id, n)))
-            .collect()
-    };
-    // One epoch of producer traffic: rewrite the fixed working set
-    // (fresh values so every write journals), one UART byte.
-    let traffic = |producer: &SharedSocBus, e: u32| {
-        for w in 0..words_per_epoch {
-            producer.write(u64::from(e), 0xf000_0204 + 4 * w, 4, e.wrapping_add(w));
-        }
-        producer.write(u64::from(e), 0xf000_0100, 4, e & 0xff);
-    };
-
-    // Delta fabric: the production barrier.
-    let buses = make_buses();
+    let buses: Vec<SharedSocBus> = (0..n)
+        .map(|id| SharedSocBus::new(shard_soc_bus(id, n)))
+        .collect();
     let mut arbiter = ShardArbiter::new(mirror_soc_bus(n), buses.clone());
     let mut delta = std::time::Duration::ZERO;
     for e in 0..epochs + 3 {
-        traffic(&buses[0], e);
+        // One epoch of producer traffic: rewrite the fixed working set
+        // (fresh values so every write journals), one UART byte.
+        for w in 0..words_per_epoch {
+            buses[0].write(u64::from(e), 0xf000_0204 + 4 * w, 4, e.wrapping_add(w));
+        }
+        buses[0].write(u64::from(e), 0xf000_0100, 4, e & 0xff);
         let t = Instant::now();
         arbiter.exchange();
         if e >= 3 {
             delta += t.elapsed(); // first epochs warm the fabric up
-        }
-    }
-
-    // Baseline fabric: the pre-journal full-image barrier — capture
-    // every shard's full device state, merge over the canonical image,
-    // broadcast — replayed over identical traffic.
-    let buses = make_buses();
-    let mirror = mirror_soc_bus(n);
-    let mut canonical = mirror.save_state();
-    let mut full = std::time::Duration::ZERO;
-    for e in 0..epochs + 3 {
-        traffic(&buses[0], e);
-        let t = Instant::now();
-        let imgs: Vec<cabt_platform::SocBusState> =
-            buses.iter().map(SharedSocBus::save_state).collect();
-        let merged = mirror.merge_states(&canonical, &imgs);
-        for bus in &buses {
-            bus.restore_state(&merged);
-        }
-        canonical = merged;
-        if e >= 3 {
-            full += t.elapsed();
         }
     }
 
@@ -922,7 +872,6 @@ pub fn barrier_cost(cores: u16, words_per_epoch: u32, epochs: u32) -> BarrierCos
         words_per_epoch,
         epochs,
         delta_ns_per_epoch: delta.as_nanos() as f64 / f64::from(epochs),
-        full_ns_per_epoch: full.as_nanos() as f64 / f64::from(epochs),
     }
 }
 
@@ -1099,19 +1048,6 @@ mod tests {
             );
         }
         assert!(r.translation_seconds[0] < r.fpga_seconds * 10.0);
-    }
-
-    #[test]
-    fn delta_barrier_beats_the_full_image_baseline() {
-        // Not a precision measurement — just the shape: at a 16-wide
-        // fabric the O(traffic) barrier must be measurably cheaper than
-        // capturing/merging/broadcasting every device's full image.
-        let c = barrier_cost(16, 64, 50);
-        assert!(c.delta_ns_per_epoch > 0.0);
-        assert!(
-            c.speedup() > 1.0,
-            "delta barrier no cheaper than the full-image baseline: {c:?}"
-        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! to generic drivers afterwards. The trait surface is exactly what the
 //! drivers need:
 //!
-//! * stepping and bounded runs ([`ExecutionEngine::step`],
+//! * stepping and bounded runs ([`ExecutionEngine::step_unit`],
 //!   [`ExecutionEngine::run_until`]) with a uniform stop/fault shape,
 //! * cycle/retirement counters ([`EngineStats`]) for throughput tables,
 //! * architectural inspection (program counter, a flat register file

@@ -5,8 +5,9 @@
 //! * **In-family** (same vehicle, different dispatch cores): driven in
 //!   retirement lockstep — the subject runs one chain stride, the
 //!   family's naive reference runs to the *same* retirement count, and
-//!   both record a [`DigestChain`] entry ([`fingerprint_engine`]:
-//!   stats, full register file, pc, halt flag). Chains must agree at
+//!   both record a [`DigestChain`] entry
+//!   ([`fingerprint_engine`](cabt_exec::fingerprint_engine): stats,
+//!   full register file, pc, halt flag). Chains must agree at
 //!   every boundary; at the halt the guest `Data`/`Bss` windows must
 //!   match byte-for-byte, and a faulting subject must fault at the
 //!   same retirement with the same error and the same digest

@@ -121,26 +121,31 @@ impl<'a> ByteWriter<'a> {
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.out.push(v);
     }
 
     /// Appends a bool as one byte (0/1).
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.out.push(v as u8);
     }
 
     /// Appends a little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
@@ -151,6 +156,7 @@ impl<'a> ByteWriter<'a> {
     }
 
     /// Appends raw bytes with no length prefix (fixed-size fields).
+    #[inline]
     pub fn raw(&mut self, bytes: &[u8]) {
         self.out.extend_from_slice(bytes);
     }
@@ -184,6 +190,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -205,6 +212,7 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated {
@@ -219,12 +227,14 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a 0/1 presence/flag byte; any other value is a
     /// [`CodecError::BadTag`].
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, CodecError> {
         match self.u8()? {
             0 => Ok(false),
@@ -234,6 +244,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, CodecError> {
         Ok(u16::from_le_bytes(
             self.take(2)?.try_into().expect("2 bytes"),
@@ -241,6 +252,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, CodecError> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
@@ -248,6 +260,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),

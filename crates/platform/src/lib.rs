@@ -41,6 +41,7 @@ pub mod sync;
 use cabt_core::translate::SYNC_DEVICE_BASE;
 use cabt_core::Translated;
 use cabt_exec::{run_epochs, StopCause};
+use cabt_isa::codec::CodecError;
 use cabt_vliw::sim::{TargetBus, VliwError, VliwSim};
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -457,15 +458,16 @@ impl Platform {
     /// Restores SoC peripheral state captured by
     /// [`Platform::save_soc_bus`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the image came from a different device population.
-    pub fn restore_soc_bus(&mut self, state: &SocBusState) {
+    /// Returns a [`CodecError`] if the image came from a different
+    /// device population or does not decode.
+    pub fn restore_soc_bus(&mut self, state: &SocBusState) -> Result<(), CodecError> {
         self.bus
             .lock()
             .expect("platform bus lock")
             .soc
-            .restore_state(state);
+            .restore_state(state)
     }
 
     /// A clone of the handle to this platform's SoC bus. With

@@ -1183,8 +1183,9 @@ pub const PARK_MAGIC: &[u8; 8] = b"CABTPARK";
 /// default bus population and the dirty-word journal to the
 /// `ScratchRam` state encoding — v1 images carry a three-device bus
 /// state and the journal-less scratch encoding, so they no longer
-/// decode and are rejected by version, not misread.
-pub const PARK_VERSION: u16 = 2;
+/// decode and are rejected by version, not misread. v3 appended the
+/// pending-write flag to the `Timer` state image.
+pub const PARK_VERSION: u16 = 3;
 
 impl fmt::Debug for SessionSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -1805,13 +1806,82 @@ impl Session {
     ///
     /// [`SessionError::Codec`] on bad magic, a version this build does
     /// not read ([`CodecError::Version`]), or truncated/corrupt
-    /// payload bytes; [`SessionError::ParseBackend`] if the descriptor
+    /// payload bytes, device images included;
+    /// [`SessionError::ParseBackend`] if the descriptor
     /// does not parse; plus the usual build errors.
     pub fn resume(bytes: &[u8]) -> Result<Session, SessionError> {
         let (backend, config, elf, snapshot) = Self::decode_park(bytes)?;
         let mut session = Session::assemble(elf, backend, config, None)?;
-        session.restore(&snapshot);
+        session.try_restore(&snapshot)?;
         Ok(session)
+    }
+
+    /// [`ExecutionEngine::restore`] for snapshots that may carry corrupt
+    /// device images — decoded [`Session::park`] bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`CodecError`] of a device image that does not
+    /// restore (see [`SocBus::restore_state`](cabt_platform::SocBus::restore_state)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot came from a different backend kind or
+    /// shard count ([`Session::decode_park`] rules both out for park
+    /// bytes).
+    fn try_restore(&mut self, snapshot: &SessionSnapshot) -> Result<(), CodecError> {
+        match (&mut self.vehicle, &snapshot.snap) {
+            (Vehicle::Golden { sim, .. }, Snap::Golden(s)) => sim.restore(s),
+            (Vehicle::Translated { platform, .. }, Snap::Target { engine, sync }) => {
+                platform.engine().restore(engine);
+                platform.restore_sync_device(sync);
+            }
+            (Vehicle::Rtl(core), Snap::Rtl(s)) => core.restore(s),
+            (Vehicle::Sharded(set), Snap::Sharded { shards, .. }) => {
+                assert_eq!(
+                    set.shards.len(),
+                    shards.len(),
+                    "cannot restore a {}-shard snapshot into a {}-shard session",
+                    shards.len(),
+                    set.shards.len()
+                );
+                for (shard, snap) in set.shards.iter_mut().zip(shards) {
+                    shard.try_restore(snap)?;
+                }
+            }
+            (vehicle, snap) => panic!(
+                "cannot restore a {} snapshot into a {} session",
+                snap.name(),
+                vehicle.name()
+            ),
+        }
+        // Device state. Single-core vehicles restore their live bus;
+        // sharded sessions already restored every shard's private bus
+        // through the per-shard sub-snapshots above, so the top-level
+        // image re-seats the arbiter's canonical merge base (and epoch
+        // counter) instead.
+        match &mut self.vehicle {
+            Vehicle::Sharded(set) => {
+                if let (
+                    Some(devices),
+                    Snap::Sharded {
+                        epochs,
+                        step_exchange_at,
+                        ..
+                    },
+                ) = (&snapshot.devices, &snapshot.snap)
+                {
+                    set.arbiter.restore_canonical(devices, *epochs)?;
+                    set.step_exchange_at = *step_exchange_at;
+                }
+            }
+            vehicle => {
+                if let (Some(devices), Some(bus)) = (&snapshot.devices, vehicle.device_bus()) {
+                    bus.restore_state(devices)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Builds the vehicle for `backend` around `elf` into a session
@@ -1922,7 +1992,8 @@ impl Session {
     ///
     /// [`SessionError::ShardConfig`] on single-core sessions,
     /// out-of-range indices, or an override the snapshot does not fit;
-    /// plus everything [`Session::resume`] raises for the envelope.
+    /// plus everything [`Session::resume`] raises for the envelope. On
+    /// error the session is unchanged.
     pub fn adopt_shard(
         &mut self,
         i: usize,
@@ -1956,8 +2027,18 @@ impl Session {
             Backend::Rtl => None,
             _ => Some(set.arbiter.bus(i)),
         };
-        let mut shard = Session::assemble(elf, backend, config, bus)?;
-        shard.restore(&snapshot);
+        // Slot `i`'s bus is live: a device image that fails to restore
+        // rolls it back, so a rejected envelope leaves the session as
+        // it was.
+        let before = bus.as_ref().map(SharedSocBus::save_state);
+        let mut shard = Session::assemble(elf, backend, config, bus.clone())?;
+        if let Err(e) = shard.try_restore(&snapshot) {
+            if let (Some(bus), Some(before)) = (bus, before) {
+                bus.restore_state(&before)
+                    .expect("re-restoring the slot's own device image");
+            }
+            return Err(e.into());
+        }
         set.shards[i] = shard;
         Ok(())
     }
@@ -2039,59 +2120,13 @@ impl ExecutionEngine for Session {
     ///
     /// # Panics
     ///
-    /// Panics if the snapshot came from a different backend kind.
+    /// Panics if the snapshot came from a different backend kind, or
+    /// if its device images do not restore (unreachable for snapshots
+    /// this process captured; park bytes go through
+    /// [`Session::resume`], which reports them as errors).
     fn restore(&mut self, snapshot: &SessionSnapshot) {
-        match (&mut self.vehicle, &snapshot.snap) {
-            (Vehicle::Golden { sim, .. }, Snap::Golden(s)) => sim.restore(s),
-            (Vehicle::Translated { platform, .. }, Snap::Target { engine, sync }) => {
-                platform.engine().restore(engine);
-                platform.restore_sync_device(sync);
-            }
-            (Vehicle::Rtl(core), Snap::Rtl(s)) => core.restore(s),
-            (Vehicle::Sharded(set), Snap::Sharded { shards, .. }) => {
-                assert_eq!(
-                    set.shards.len(),
-                    shards.len(),
-                    "cannot restore a {}-shard snapshot into a {}-shard session",
-                    shards.len(),
-                    set.shards.len()
-                );
-                for (shard, snap) in set.shards.iter_mut().zip(shards) {
-                    shard.restore(snap);
-                }
-            }
-            (vehicle, snap) => panic!(
-                "cannot restore a {} snapshot into a {} session",
-                snap.name(),
-                vehicle.name()
-            ),
-        }
-        // Device state. Single-core vehicles restore their live bus;
-        // sharded sessions already restored every shard's private bus
-        // through the per-shard sub-snapshots above, so the top-level
-        // image re-seats the arbiter's canonical merge base (and epoch
-        // counter) instead.
-        match &mut self.vehicle {
-            Vehicle::Sharded(set) => {
-                if let (
-                    Some(devices),
-                    Snap::Sharded {
-                        epochs,
-                        step_exchange_at,
-                        ..
-                    },
-                ) = (&snapshot.devices, &snapshot.snap)
-                {
-                    set.arbiter.restore_canonical(devices, *epochs);
-                    set.step_exchange_at = *step_exchange_at;
-                }
-            }
-            vehicle => {
-                if let (Some(devices), Some(bus)) = (&snapshot.devices, vehicle.device_bus()) {
-                    bus.restore_state(devices);
-                }
-            }
-        }
+        self.try_restore(snapshot)
+            .expect("an in-process snapshot's device images restore");
     }
 
     /// Resets to a fully fresh run. Unlike the engine-scope trait

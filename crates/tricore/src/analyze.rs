@@ -9,8 +9,9 @@
 //!
 //! Classification notes:
 //!
-//! * `ret`, `ji` and `jli` lower to [`UnitFlow::Indirect`] — the
-//!   conservative bucket the framework treats as
+//! * `ret`, `ji` and `jli` lower to
+//!   [`UnitFlow::Indirect`](cabt_exec::blocks::UnitFlow::Indirect) —
+//!   the conservative bucket the framework treats as
 //!   may-transfer-anywhere.
 //! * `jl` (and `jli`) are recorded as calls for the
 //!   unbounded-recursion walk; their `A11` link write is an ordinary

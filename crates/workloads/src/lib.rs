@@ -528,7 +528,7 @@ outer:
 /// exercises exactly what the sharded backend must get right:
 /// deterministic epoch-barrier exchange of the mailbox RAM (consumers
 /// see the producer's publish after the next barrier, identically
-/// under the sequential and the thread-parallel scheduler) and a
+/// under the sequential and the pooled scheduler) and a
 /// deterministic merged UART log.
 ///
 /// # Panics

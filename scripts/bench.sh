@@ -5,9 +5,8 @@
 # every tier, with per-workload trace-formation stats — the sharded
 # multi-core throughput scaling 1->2->4->8->64->256 cores with paired
 # sequential/pooled scheduler rows at every width, the epoch-barrier
-# cost table
-# (O(traffic) delta barrier vs the full-image baseline, ns/epoch at
-# 8/64/256 cores), and the fleet service at 1/10/100/1000 concurrent
+# cost table (O(traffic) delta barrier, ns/epoch at 8/64/256 cores),
+# and the fleet service at 1/10/100/1000 concurrent
 # sessions with paired 1-worker/4-worker pool rows — sessions/sec plus
 # aggregate MIPS) and leaves the machine-readable result in
 # BENCH_fig5.json at the repo root, so the performance trajectory

@@ -20,11 +20,11 @@
 //! | crate | role |
 //! |---|---|
 //! | [`isa`] | memory model, ELF32 reader/writer, deterministic PRNG |
-//! | [`exec`] | `ExecutionEngine` — dispatch + snapshot/restore interface of every simulator; the shared basic-block layer (`exec::blocks`), the profile/trace-growth layer (`exec::trace`) and the static-analysis dataflow framework (`exec::analyze`) built over it; execution fingerprints; the work-stealing `exec::pool::FleetPool`; single-core, sharded sequential, thread-parallel and pool-scheduled epoch drivers |
+//! | [`exec`] | `ExecutionEngine` — dispatch + snapshot/restore interface of every simulator; the shared basic-block layer (`exec::blocks`), the profile/trace-growth layer (`exec::trace`) and the static-analysis dataflow framework (`exec::analyze`) built over it; execution fingerprints; the work-stealing `exec::pool::FleetPool`; single-core epoch driver and one shard-round planner with inline and pool-scheduled executors |
 //! | [`tricore`] | source ISA, assembler, cycle-accurate golden model (pre-decoded, block-compiled and trace-compiled dispatch cores) |
 //! | [`vliw`] | target VLIW ISA, binary container format, simulator (pre-decoded, closure-compiled and trace dispatch cores) |
 //! | [`core`] | **the translator** (the paper's contribution) — its CFG is a view over the shared block layer |
-//! | [`platform`] | synchronization device, snapshottable (and `Send`) SoC bus + peripherals (including the per-shard CoreLink doorbell endpoint), epoch-barrier shard arbiter with deterministic state merge and O(traffic) journaled delta exchange (`docs/sharding.md`) |
+//! | [`platform`] | synchronization device, snapshottable (and `Send`) SoC bus + peripherals (including the per-shard CoreLink doorbell endpoint), epoch-barrier shard arbiter with one O(traffic) journaled delta exchange; device images on the shared byte codec (`docs/sharding.md`) |
 //! | [`rtlsim`] | event-driven RT-level baseline simulator |
 //! | [`sim`] | **the front door**: `SimBuilder`/`Session` over every execution vehicle, single-core or sharded (up to 256 cores, with live shard migration via `park_shard`/`adopt_shard`); versioned portable park/resume bytes; the `sim::analyze` lint surface behind the `cabt-analyze` binary |
 //! | [`debug`] | generic lockstep driver, dual-translation debugger + RSP packet layer |
@@ -81,8 +81,7 @@
 //! a *private* clone of the SoC device population; shards run one
 //! epoch at a time and reconcile at every epoch barrier, where the
 //! `ShardArbiter` exchanges journaled device deltas in fixed shard
-//! order — O(traffic), with full-image merge as the fallback — and
-//! delivers CoreLink doorbell messages (per-shard MMIO: core-id
+//! order — O(traffic), one path for every device — and delivers CoreLink doorbell messages (per-shard MMIO: core-id
 //! register plus per-core mailboxes, `docs/sharding.md`). Because
 //! shards are isolated inside an epoch, the run is *schedule
 //! independent*: every round is decided by one planner

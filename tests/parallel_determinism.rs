@@ -91,10 +91,11 @@ fn observe(s: &mut Session, stop: Option<StopCause>) -> Observed {
 
 /// 8-byte digest of a sharded session's observable state: per-shard
 /// engine trajectories ([`fingerprint_engine`]: counters, registers,
-/// pc, halt flag), per-shard data/BSS windows, the shared-bus counters
-/// and the merged UART log. The long randomized sweeps compare these
-/// digests instead of hauling full [`Observed`] images around; one
-/// full-state comparison per test anchors them.
+/// pc, halt flag), per-shard data/BSS windows, the shared-bus counters,
+/// the merged UART log and the canonical device image. The long
+/// randomized sweeps compare these digests instead of hauling full
+/// [`Observed`] images around; one full-state comparison per test
+/// anchors them.
 fn digest_session(s: &mut Session, stop: StopCause) -> u64 {
     let windows = data_windows(s.source_elf());
     let mut fp = Fingerprint::new();
@@ -114,7 +115,9 @@ fn digest_session(s: &mut Session, stop: StopCause) -> u64 {
         fp.mix_bytes(&[b]);
     }
     if let Some(d) = s.soc_bus_state() {
-        fp.mix_u64(d.transactions());
+        let mut image = Vec::new();
+        d.encode_into(&mut image);
+        fp.mix_bytes(&image);
     }
     fp.digest()
 }
@@ -289,7 +292,8 @@ fn random_spmd_program(seed: u64) -> String {
     let _ = writeln!(src, "    mov %d9, {n}");
     src.push_str("loop_top:\n    call leaf\n    addi %d9, %d9, -1\n    jnz %d9, loop_top\n");
     // Publish: per-core scratch slot (0xf000_0210 + 4*core), one
-    // contended word (0xf000_0280), one UART byte.
+    // contended word (0xf000_0280), the contended timer compare
+    // register (0xf000_0004), one UART byte.
     src.push_str(
         "    movh   %d7, 0xf000
     addi   %d7, %d7, 0x210
@@ -301,6 +305,8 @@ fn random_spmd_program(seed: u64) -> String {
     movh.a %a5, 0xf000
     lea    %a5, [%a5]0x280
     st.w   [%a5]0, %d2
+    movh.a %a2, 0xf000
+    st.w   [%a2]4, %d2
     movh.a %a3, 0xf000
     lea    %a3, [%a3]0x100
     st.w   [%a3]0, %d2

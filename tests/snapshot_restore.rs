@@ -457,3 +457,74 @@ fn park_header_rejects_foreign_and_future_images() {
         );
     }
 }
+
+/// Resuming untrusted bytes never panics: 4000 seeded mutants of a
+/// mid-run 2-shard envelope (half truncations, half single-bit flips)
+/// each resume or fail with a typed error. Device images decode through
+/// the shared codec, so corrupt device bytes are `SessionError::Codec`.
+/// An envelope of the previous format version is rejected by version.
+#[test]
+fn corrupt_park_envelopes_fail_typed_never_panic() {
+    use cabt_isa::codec::CodecError;
+    use cabt_isa::rng::Pcg32;
+
+    let w = cabt_workloads::by_name("producer_consumer").unwrap();
+    let mut s = SimBuilder::workload(&w)
+        .backend(Backend::sharded(2, Backend::golden()))
+        .build()
+        .unwrap();
+    s.run_until(Limit::Cycles(3000)).unwrap();
+    let good = s.park().unwrap();
+    assert!(Session::resume(&good).is_ok(), "the pristine image resumes");
+
+    let mut old = good.clone();
+    old[8..10].copy_from_slice(&(cabt::sim::PARK_VERSION - 1).to_le_bytes());
+    assert!(matches!(
+        Session::resume(&old),
+        Err(SessionError::Codec(CodecError::Version { .. }))
+    ));
+
+    let mut rng = Pcg32::seed_from_u64(0xc0de_c0de);
+    let mut mutate = |bytes: &[u8], i: usize| {
+        if i.is_multiple_of(2) {
+            bytes[..rng.below(bytes.len())].to_vec()
+        } else {
+            let mut m = bytes.to_vec();
+            m[rng.below(bytes.len())] ^= 1 << rng.below(8);
+            m
+        }
+    };
+    let mut panics = Vec::new();
+    for i in 0..4000 {
+        let mutant = mutate(&good, i);
+        let resumed = std::panic::catch_unwind(|| Session::resume(&mutant).map(drop));
+        if resumed.is_err() {
+            panics.push(i);
+        }
+    }
+    assert!(panics.is_empty(), "mutants {panics:?} panicked on resume");
+
+    // Mutants of one shard's envelope, adopted into a live session that
+    // ran on past the park: a rejected envelope leaves the shard's bus
+    // as it was.
+    let parked = s.park_shard(1).unwrap();
+    let live = || {
+        let mut t = Session::resume(&good).unwrap();
+        t.run_until(Limit::Cycles(50_000_000)).unwrap();
+        t
+    };
+    let bus = |s: &Session| s.shard(1).unwrap().soc_bus_handle().unwrap().save_state();
+    let mut target = live();
+    let before = bus(&target);
+    assert_ne!(before, bus(&s), "the live bus moved on from the parked one");
+    for i in 0..1000 {
+        let mutant = mutate(&parked, i);
+        let adopt = std::panic::AssertUnwindSafe(|| target.adopt_shard(1, &mutant, None));
+        match std::panic::catch_unwind(adopt) {
+            Err(_) => panics.push(i),
+            Ok(Err(_)) => assert_eq!(bus(&target), before, "mutant {i} left a half-restored bus"),
+            Ok(Ok(())) => target = live(),
+        }
+    }
+    assert!(panics.is_empty(), "mutants {panics:?} panicked on adopt");
+}
