@@ -189,7 +189,7 @@ fn main() {
         let con = sharded_throughput(&mc, cores, row_iters, ShardSchedule::Pooled(0));
         let speedup = con.aggregate_mips / seq.aggregate_mips;
         println!(
-            "  {:<18} cores {:>3}  {:>9} retired/run  seq {:>8.2} MIPS  {} {:>8.2} MIPS  ({:.2}x, {} epochs)",
+            "  {:<18} cores {:>3}  {:>9} retired/run  seq {:>8.2} MIPS  {} {:>8.2} MIPS  ({:.2}x, {} epochs)  build {:.0}/{:.0} us",
             seq.workload,
             cores,
             seq.aggregate_retired,
@@ -198,6 +198,8 @@ fn main() {
             con.aggregate_mips,
             speedup,
             seq.epochs,
+            seq.build_us,
+            con.build_us,
         );
         assert_eq!(
             seq.aggregate_retired, con.aggregate_retired,

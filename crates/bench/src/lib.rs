@@ -611,10 +611,10 @@ pub fn compare_dispatch(
     // Both halves share one shape: build the session once (ELF load,
     // translation and pre-decode tables are not timed), then reset and
     // re-run per iteration. For the translated backend a session reset
-    // rebuilds the platform, so the synchronization device starts
-    // fresh each run; that construction cost is identical in both
-    // dispatch modes and only dilutes the measured ratio —
-    // conservatively.
+    // rebuilds the platform around the image's shared VLIW program, so
+    // the synchronization device starts fresh each run; that
+    // construction cost is identical in both dispatch modes and only
+    // dilutes the measured ratio — conservatively.
     let measure = |backend: Backend| {
         let mut s = SimBuilder::workload(w)
             .backend(backend)
@@ -713,6 +713,11 @@ pub struct ShardedThroughput {
     pub aggregate_mips: f64,
     /// Arbiter epoch boundaries per run.
     pub epochs: u64,
+    /// Median wall time of a fresh [`SimBuilder::build`] of the row's
+    /// session, in microseconds — assembly, translation, pre-decode and
+    /// the shard fabric; the throughput loop above reruns one built
+    /// session and leaves this cost out.
+    pub build_us: f64,
 }
 
 impl ShardedThroughput {
@@ -731,7 +736,8 @@ impl ShardedThroughput {
         format!(
             concat!(
                 "{{\"workload\":\"{}\",\"cores\":{},\"schedule\":\"{}\",",
-                "\"aggregate_retired\":{},\"aggregate_mips\":{:.3},\"epochs\":{}}}"
+                "\"aggregate_retired\":{},\"aggregate_mips\":{:.3},\"epochs\":{},",
+                "\"build_us\":{:.1}}}"
             ),
             self.workload,
             self.cores,
@@ -739,14 +745,19 @@ impl ShardedThroughput {
             self.aggregate_retired,
             self.aggregate_mips,
             self.epochs,
+            self.build_us,
         )
     }
 }
 
+/// Fresh builds timed per [`sharded_throughput`] row (odd, so the
+/// median is one measurement).
+const SHARDED_BUILD_REPEATS: usize = 5;
+
 /// Measures sharded throughput: builds a `Backend::Sharded` session of
 /// `cores` translated engines over `w` under `schedule`, reruns it
 /// `iters` times (reset + run to halt) and reports aggregate dispatch
-/// throughput. Validates every shard's checksum — the
+/// throughput, plus the median time of a fresh build of that session. Validates every shard's checksum — the
 /// producer/consumer handoff must still be correct under measurement.
 ///
 /// # Panics
@@ -758,15 +769,29 @@ pub fn sharded_throughput(
     iters: u32,
     schedule: ShardSchedule,
 ) -> ShardedThroughput {
-    let mut s = SimBuilder::workload(w)
-        .backend(Backend::sharded_with_schedule(
-            cores,
-            Backend::translated(DetailLevel::Static),
-            schedule,
-        ))
-        .shard_epoch(SHARDED_BENCH_EPOCH)
-        .build()
-        .expect("sharded session builds");
+    let build = || {
+        SimBuilder::workload(w)
+            .backend(Backend::sharded_with_schedule(
+                cores,
+                Backend::translated(DetailLevel::Static),
+                schedule,
+            ))
+            .shard_epoch(SHARDED_BENCH_EPOCH)
+            .build()
+            .expect("sharded session builds")
+    };
+    let mut builds: Vec<f64> = (0..SHARDED_BUILD_REPEATS)
+        .map(|_| {
+            let start = Instant::now();
+            let s = build();
+            let us = start.elapsed().as_secs_f64() * 1e6;
+            drop(s);
+            us
+        })
+        .collect();
+    builds.sort_by(f64::total_cmp);
+    let build_us = builds[builds.len() / 2];
+    let mut s = build();
     let mut retired = 0u64;
     let mut epochs = 0u64;
     let secs = bench_seconds_best(3, iters, || {
@@ -794,6 +819,7 @@ pub fn sharded_throughput(
         aggregate_retired: retired,
         aggregate_mips: retired as f64 / secs / 1e6,
         epochs,
+        build_us,
     }
 }
 

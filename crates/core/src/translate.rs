@@ -17,8 +17,10 @@ use cabt_tricore::arch::{ArchDesc, TimingModel};
 use cabt_tricore::isa::{AReg, Cond, Instr, RA};
 use cabt_vliw::encode::encode_program;
 use cabt_vliw::isa::{Op, Packet, Pred, Reg, Slot, Width};
-use cabt_vliw::sim::VliwSim;
+use cabt_vliw::sim::{Program, VliwError, VliwSim};
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Base address of the synchronization device in the target address
 /// space (start / wait / correction-start / correction-wait words).
@@ -84,6 +86,31 @@ pub struct Translated {
     pub data_sections: Vec<(u32, Vec<u8>)>,
     /// Result of the base-address analysis.
     pub base_info: BaseAddrInfo,
+    /// The VLIW program of this image, pre-decoded by the first
+    /// [`Translated::make_sim`] and shared by every later one.
+    program: ProgramCache,
+}
+
+/// The once-built VLIW [`Program`] of a [`Translated`] image. A clone
+/// of the image starts with an empty cache, so editing a clone's public
+/// fields before its first [`Translated::make_sim`] takes effect.
+#[derive(Default)]
+struct ProgramCache(OnceLock<Arc<Program>>);
+
+impl Clone for ProgramCache {
+    fn clone(&self) -> Self {
+        ProgramCache::default()
+    }
+}
+
+impl fmt::Debug for ProgramCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if self.0.get().is_some() {
+            "built"
+        } else {
+            "unbuilt"
+        })
+    }
 }
 
 impl Translated {
@@ -91,25 +118,45 @@ impl Translated {
     /// placed, entry at the prologue. Attach a platform bus before
     /// running if the program does I/O or cycle generation should stall.
     ///
+    /// The first call pre-decodes the image's [`Translated::program`];
+    /// every later call only instantiates a simulator over that shared
+    /// program (registers, memory and pipeline state are its own).
+    ///
     /// # Errors
     ///
     /// Propagates simulator construction/load failures.
-    pub fn make_sim(&self) -> Result<VliwSim, cabt_vliw::sim::VliwError> {
-        let mut sim = VliwSim::new(self.packets.clone())?;
-        // Register-indirect branches carry source-world code addresses
-        // (the guest materializes labels with `movh.a`/`lea`); alias
-        // every source block start to its packet so they resolve on
-        // all dispatch cores.
-        sim.add_branch_aliases(self.addr_map.iter().map(|(&src, &tgt)| (src, tgt)))?;
+    pub fn make_sim(&self) -> Result<VliwSim, VliwError> {
+        let mut sim = VliwSim::from_program(self.program()?);
         for (addr, data) in &self.data_sections {
-            sim.mem
-                .load(*addr, data)
-                .map_err(cabt_vliw::sim::VliwError::Mem)?;
+            sim.mem.load(*addr, data).map_err(VliwError::Mem)?;
         }
         // The placed data sections are the state an engine reset
         // restores.
         sim.seal_reset_image();
         Ok(sim)
+    }
+
+    /// The pre-decoded VLIW program of this image: built (packets
+    /// indexed, branch aliases registered) on the first call, then the
+    /// same shared [`Arc`] on every later one — so every engine made
+    /// from one image, on any thread, runs one decoded and compiled
+    /// program. The image is treated as immutable from then on.
+    ///
+    /// # Errors
+    ///
+    /// Propagates program construction failures (duplicate packet
+    /// addresses, an alias onto no packet).
+    pub fn program(&self) -> Result<Arc<Program>, VliwError> {
+        if let Some(p) = self.program.0.get() {
+            return Ok(Arc::clone(p));
+        }
+        let mut prog = Program::new(self.packets.clone())?;
+        // Register-indirect branches carry source-world code addresses
+        // (the guest materializes labels with `movh.a`/`lea`); alias
+        // every source block start to its packet so they resolve on
+        // all dispatch cores.
+        prog.add_branch_aliases(self.addr_map.iter().map(|(&src, &tgt)| (src, tgt)))?;
+        Ok(Arc::clone(self.program.0.get_or_init(|| Arc::new(prog))))
     }
 
     /// Serializes the translated program to an ELF image for the target
@@ -523,6 +570,7 @@ impl Translator {
             stats,
             data_sections,
             base_info,
+            program: ProgramCache::default(),
         })
     }
 

@@ -271,6 +271,25 @@ fn decode_counters(r: &mut ByteReader<'_>, what: &'static str) -> Result<Vec<u32
 }
 
 impl TraceProfile {
+    /// Checks that a decoded profile counts `blocks` basic blocks — the
+    /// block count of the engine it is about to be restored into.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::BadLength`] when any counter vector has another
+    /// length.
+    pub fn check_blocks(&self, blocks: usize) -> Result<(), CodecError> {
+        for v in [&self.exec, &self.fall, &self.taken] {
+            if v.len() != blocks {
+                return Err(CodecError::BadLength {
+                    what: "trace profile counters",
+                    len: v.len() as u64,
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Serializes the profile counters.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         ByteWriter::new(out).u64(self.warmup_left);

@@ -7,8 +7,9 @@
 //! * **[`FleetPool`]** — a fixed work-stealing thread pool. Epoch
 //!   rounds are work items, so M concurrent sessions × N shards
 //!   multiplex onto a bounded worker population.
-//! * **The fleet scheduler** ([`run_fleet`]) — every request is built
-//!   once with [`SimBuilder`], taken apart with
+//! * **The fleet scheduler** ([`run_fleet`]) — each distinct workload
+//!   of a batch is assembled once, every request is built once with
+//!   [`SimBuilder`] from that image, taken apart with
 //!   [`Session::into_shard_parts`] and submitted to the pool executor
 //!   ([`FleetPool::submit_epoch_rounds`]): the job that completes the
 //!   last shard of a round performs the barrier exchange and plans the
@@ -43,6 +44,7 @@ use cabt_exec::pool::{Panic, PooledOutcome};
 use cabt_exec::{aggregate_stats, fingerprint_engine, EngineStats, Fingerprint, Limit, StopCause};
 use cabt_platform::ShardArbiter;
 use cabt_sim::{Backend, Session, SessionError, SimBuilder};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Scheduling epoch (target cycles) used when a request does not name
@@ -147,16 +149,14 @@ struct Progress {
     chain: Fingerprint,
 }
 
-/// Builds a request once and takes it apart for the pool executor.
-fn build(req: &FleetRequest) -> Result<(cabt_sim::ShardParts, u32), SessionError> {
-    let expected_d2 = cabt_workloads::by_name(&req.workload)
-        .ok_or_else(|| SessionError::UnknownWorkload(req.workload.clone()))?
-        .expected_d2;
-    let session = SimBuilder::named(&req.workload)
+/// Builds a request once — `source` is its workload, already resolved
+/// by the batch — and takes it apart for the pool executor.
+fn build(req: &FleetRequest, source: SimBuilder) -> Result<cabt_sim::ShardParts, SessionError> {
+    let session = source
         .backend(req.backend)
         .shard_epoch(req.epoch.unwrap_or(FLEET_EPOCH_CYCLES))
         .build()?;
-    Ok((session.into_shard_parts(), expected_d2))
+    Ok(session.into_shard_parts())
 }
 
 /// The [`FleetResult`] of a completed pooled run.
@@ -216,13 +216,26 @@ pub fn run_fleet(
     type Slot = Option<Result<FleetResult, SessionError>>;
     let results: Arc<Mutex<Vec<Slot>>> = Arc::new(Mutex::new(vec![None; requests.len()]));
     let latch = Arc::new(Latch::new(requests.len()));
+    // Each distinct workload is looked up and assembled once per batch;
+    // every request naming it builds from a copy of that one image.
+    let mut images = HashMap::new();
+    for req in requests {
+        images.entry(req.workload.as_str()).or_insert_with(|| {
+            let w = cabt_workloads::by_name(&req.workload)
+                .ok_or_else(|| SessionError::UnknownWorkload(req.workload.clone()))?;
+            Ok::<_, SessionError>((w.elf()?, w.expected_d2))
+        });
+    }
     for (i, req) in requests.iter().enumerate() {
         let (results, latch) = (Arc::clone(&results), Arc::clone(&latch));
         let report = move |result| {
             results.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(result);
             latch.count_down();
         };
-        match build(req) {
+        let image = images[req.workload.as_str()].clone();
+        let built = image
+            .and_then(|(elf, expected_d2)| Ok((build(req, SimBuilder::elf(elf))?, expected_d2)));
+        match built {
             Err(e) => report(Err(e)),
             Ok((parts, expected_d2)) => {
                 let progress = Progress {
@@ -378,6 +391,40 @@ mod tests {
             assert_eq!(a.digest, b.digest);
             assert_eq!(a.stats, b.stats);
             assert_eq!(a.epochs, b.epochs);
+        }
+    }
+
+    #[test]
+    fn repeated_requests_in_one_batch_match_their_solo_runs() {
+        // One image per distinct workload serves every request naming
+        // it; each request must still run exactly the machine it would
+        // run alone.
+        let pool = FleetPool::new(2);
+        let keys = [
+            ("gcd", Backend::golden()),
+            ("producer_consumer", Backend::sharded(2, Backend::golden())),
+            ("gcd", Backend::translated_compiled(cabt_core_detail())),
+        ];
+        let requests: Vec<FleetRequest> = keys
+            .iter()
+            .cycle()
+            .take(3 * keys.len())
+            .map(|&(w, b)| {
+                FleetRequest::named(w)
+                    .backend(b)
+                    .budget(Limit::Cycles(50_000_000))
+            })
+            .collect();
+        let batch = run_fleet(&pool, &requests);
+        for (req, got) in requests.iter().zip(&batch) {
+            let got = got.as_ref().unwrap();
+            let solo = run_one(&pool, req.clone()).unwrap();
+            let tag = format!("{} on {}", req.workload, req.backend);
+            assert!(got.checksum_ok(), "{tag}");
+            assert_eq!(got.digest, solo.digest, "{tag}: digest");
+            assert_eq!(got.epoch_chain, solo.epoch_chain, "{tag}: epoch chain");
+            assert_eq!(got.stats, solo.stats, "{tag}: stats");
+            assert_eq!(got.uart, solo.uart, "{tag}: uart");
         }
     }
 

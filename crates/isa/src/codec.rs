@@ -69,6 +69,15 @@ pub enum CodecError {
         /// Bytes left over.
         remaining: usize,
     },
+    /// An index into a table the decoder's consumer owns (a dispatch
+    /// index, a packet counter) lies outside that table — the bytes
+    /// describe a different program.
+    BadIndex {
+        /// What was being decoded (static context string).
+        what: &'static str,
+        /// The offending index.
+        index: u64,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -96,6 +105,9 @@ impl fmt::Display for CodecError {
             CodecError::BadUtf8 => write!(f, "invalid UTF-8 in snapshot string field"),
             CodecError::TrailingBytes { remaining } => {
                 write!(f, "{remaining} unconsumed bytes after decoding snapshot")
+            }
+            CodecError::BadIndex { what, index } => {
+                write!(f, "{what} {index} lies outside the program")
             }
         }
     }

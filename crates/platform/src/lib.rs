@@ -310,7 +310,8 @@ impl Platform {
     /// Builds the platform around an externally owned [`SharedSocBus`] —
     /// the multi-core construction path: every shard's platform routes
     /// its I/O window into the same device population, while keeping its
-    /// own synchronization device.
+    /// own synchronization device. Platforms built from one
+    /// [`Translated`] image share its VLIW program.
     ///
     /// # Errors
     ///
@@ -405,7 +406,11 @@ impl Platform {
     /// the synchronization device and SoC peripherals behind the bus
     /// keep their state (generated-cycle counters, UART log). For a
     /// reproducible platform rerun, build a fresh [`Platform`] from the
-    /// same [`Translated`] image — construction is cheap.
+    /// same [`Translated`] image — construction is cheap: the image
+    /// pre-decodes its VLIW program once ([`Translated::program`]) and
+    /// every later platform shares it (and its compiled slot closures),
+    /// so a rebuild allocates only engine state, the data sections, a
+    /// synchronization device and the bus handle.
     pub fn engine(&mut self) -> &mut PlatformEngine {
         &mut self.sim
     }

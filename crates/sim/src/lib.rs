@@ -58,6 +58,7 @@ use cabt_tricore::sim::{DispatchMode, SimError, SimSnapshot, Simulator};
 use cabt_vliw::sim::{VliwDispatch, VliwError, VliwSnapshot};
 use cabt_workloads::Workload;
 use std::fmt;
+use std::sync::Arc;
 
 /// Which execution vehicle a [`Session`] runs the workload on.
 ///
@@ -537,7 +538,7 @@ enum SourceSpec {
 /// (observers, an externally owned bus) is deliberately absent: a
 /// resumed session owns a private device population whose *state* comes
 /// from the snapshot payload.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct BuildConfig {
     platform: PlatformConfig,
     granularity: Granularity,
@@ -886,27 +887,63 @@ impl SimBuilder {
             epoch: self.epoch,
             on_epoch: self.on_epoch,
             on_stop: self.on_stop,
-            ..Session::assemble(elf, self.backend, config, self.soc_bus)?
+            ..Session::assemble(Arc::new(elf), self.backend, config, self.soc_bus)?
+        })
+    }
+}
+
+/// The immutable half of a single-core vehicle: what one image,
+/// backend and configuration compile to, built once and instantiated by
+/// every session that runs it. A shard set builds one and instantiates
+/// all its shards, its resets and its matching adoptions from it.
+#[derive(Clone)]
+enum Program {
+    /// The golden model's pre-decoded (and, once any engine selects a
+    /// compiled tier, compiled) instruction table.
+    Golden(Arc<cabt_tricore::sim::Program>),
+    /// The translated image, which carries its once-built VLIW program.
+    Translated(Arc<Translated>),
+    /// The RTL core elaborates its kernel per instance.
+    Rtl,
+}
+
+impl Program {
+    /// Translates / pre-decodes `elf` for a single-core `backend`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Backend::Sharded`]: a shard set builds the program
+    /// of its base backend.
+    fn build(elf: &ElfFile, backend: Backend, config: BuildConfig) -> Result<Self, SessionError> {
+        Ok(match backend {
+            Backend::Golden { .. } => Program::Golden(Arc::new(cabt_tricore::sim::Program::new(
+                elf,
+                cabt_tricore::arch::ArchDesc::default(),
+            )?)),
+            Backend::Translated { level, .. } => Program::Translated(Arc::new(
+                Translator::new(level)
+                    .with_granularity(config.granularity)
+                    .translate(elf)?,
+            )),
+            Backend::Rtl => Program::Rtl,
+            Backend::Sharded { .. } => unreachable!("shard sets build their base program"),
         })
     }
 
-    /// Constructs the vehicle for `backend` around an assembled image.
-    fn build_vehicle(
+    /// A fresh vehicle over this program: the engine's mutable state,
+    /// the dispatch tier and trace knobs of `backend` / `config`, and
+    /// the I/O wiring.
+    fn instantiate(
+        &self,
         elf: &ElfFile,
         backend: Backend,
         config: BuildConfig,
         soc_bus: Option<SharedSocBus>,
     ) -> Result<Vehicle, SessionError> {
-        let BuildConfig {
-            platform: platform_cfg,
-            trace_config,
-            granularity,
-            ..
-        } = config;
-        Ok(match backend {
-            Backend::Golden { dispatch } => {
-                let mut sim = Simulator::new(elf)?;
-                if let Some(cfg) = trace_config {
+        Ok(match (self, backend) {
+            (Program::Golden(prog), Backend::Golden { dispatch }) => {
+                let mut sim = Simulator::from_program(Arc::clone(prog));
+                if let Some(cfg) = config.trace_config {
                     sim.set_trace_config(cfg);
                 }
                 sim.set_dispatch(dispatch);
@@ -918,48 +955,23 @@ impl SimBuilder {
                     bus: soc_bus,
                 }
             }
-            Backend::Translated { level, dispatch } => {
-                let image = Translator::new(level)
-                    .with_granularity(granularity)
-                    .translate(elf)?;
+            (Program::Translated(image), Backend::Translated { dispatch, .. }) => {
                 let mut platform = match &soc_bus {
-                    Some(bus) => Platform::with_shared_bus(&image, platform_cfg, bus.clone())?,
-                    None => Platform::new(&image, platform_cfg)?,
+                    Some(bus) => Platform::with_shared_bus(image, config.platform, bus.clone())?,
+                    None => Platform::new(image, config.platform)?,
                 };
-                if let Some(cfg) = trace_config {
+                if let Some(cfg) = config.trace_config {
                     platform.set_trace_config(cfg);
                 }
                 platform.set_dispatch(dispatch);
                 Vehicle::Translated {
                     platform: Box::new(platform),
-                    image: Box::new(image),
-                    cfg: platform_cfg,
-                    dispatch,
-                    trace_config,
+                    image: Arc::clone(image),
                     shared: soc_bus,
                 }
             }
-            Backend::Rtl => Vehicle::Rtl(Box::new(RtlCore::new(elf)?)),
-            Backend::Sharded {
-                cores,
-                backend,
-                schedule,
-            } => {
-                if cores == 0 {
-                    return Err(SessionError::ShardConfig(
-                        "a sharded backend needs at least one core".into(),
-                    ));
-                }
-                if soc_bus.is_some() {
-                    return Err(SessionError::ShardConfig(
-                        "sharded sessions own their device fabric; `soc_bus` is not accepted"
-                            .into(),
-                    ));
-                }
-                Vehicle::Sharded(Box::new(ShardSet::build(
-                    elf, cores, backend, schedule, config,
-                )?))
-            }
+            (Program::Rtl, Backend::Rtl) => Vehicle::Rtl(Box::new(RtlCore::new(elf)?)),
+            (_, backend) => unreachable!("a program instantiates only its own backend ({backend})"),
         })
     }
 }
@@ -976,14 +988,10 @@ enum Vehicle {
     },
     Translated {
         platform: Box<Platform>,
-        /// Retained so [`Session::reset`] can rebuild the whole
-        /// platform (engine *and* devices) from the same image.
-        image: Box<Translated>,
-        cfg: PlatformConfig,
-        dispatch: VliwDispatch,
-        /// Trace-tier knobs the session was built with, re-applied by
-        /// [`Session::reset`]'s platform rebuild.
-        trace_config: Option<TraceConfig>,
+        /// Retained so [`Session::reset`] can re-instantiate the whole
+        /// platform (engine *and* devices) over the same image and its
+        /// shared VLIW program.
+        image: Arc<Translated>,
         /// Externally owned bus the platform was built around, if any:
         /// reset reattaches it instead of minting fresh devices.
         shared: Option<SharedSocBus>,
@@ -1224,6 +1232,12 @@ pub struct ShardedStats {
 /// population, reconciled by the epoch-barrier arbiter.
 struct ShardSet {
     shards: Vec<Session>,
+    /// The one program every shard was instantiated from, with the
+    /// single-core backend and build configuration it was built for —
+    /// what [`Session::adopt_shard`] reuses when a parked shard matches.
+    program: Program,
+    shard_backend: Backend,
+    shard_config: BuildConfig,
     arbiter: ShardArbiter,
     /// Target cycles per scheduling epoch.
     epoch: u64,
@@ -1242,7 +1256,7 @@ struct ShardSet {
 
 impl ShardSet {
     fn build(
-        elf: &ElfFile,
+        elf: &Arc<ElfFile>,
         cores: u16,
         backend: ShardBackend,
         schedule: ShardSchedule,
@@ -1280,15 +1294,21 @@ impl ShardSet {
             }
             _ => SHARD_EPOCH_CYCLES,
         });
+        // Compile once, run many: every shard instantiates the same
+        // program around its own bus.
+        let shard_backend = Backend::from(backend);
+        let shard_config = BuildConfig {
+            shard_epoch: None,
+            ..config
+        };
+        let program = Program::build(elf, shard_backend, shard_config)?;
         let mut shards = Vec::with_capacity(cores as usize);
         for id in 0..cores {
-            let mut shard = Session::assemble(
-                elf.clone(),
-                backend.into(),
-                BuildConfig {
-                    shard_epoch: None,
-                    ..config
-                },
+            let mut shard = Session::instantiate(
+                &program,
+                Arc::clone(elf),
+                shard_backend,
+                shard_config,
                 // RTL shards have no I/O window; the builder ignores
                 // the bus for them.
                 match backend {
@@ -1301,6 +1321,9 @@ impl ShardSet {
         }
         Ok(ShardSet {
             shards,
+            program,
+            shard_backend,
+            shard_config,
             arbiter,
             epoch,
             schedule,
@@ -1420,7 +1443,8 @@ impl ShardSet {
 /// (checksums, generated cycles, wall-clock time) as in the paper.
 pub struct Session {
     vehicle: Vehicle,
-    elf: ElfFile,
+    /// The source image — shared by every shard of a shard set.
+    elf: Arc<ElfFile>,
     backend: Backend,
     /// Build-time knobs, retained so [`Session::park`] can emit a
     /// self-describing envelope.
@@ -1811,18 +1835,22 @@ impl Session {
     /// does not parse; plus the usual build errors.
     pub fn resume(bytes: &[u8]) -> Result<Session, SessionError> {
         let (backend, config, elf, snapshot) = Self::decode_park(bytes)?;
-        let mut session = Session::assemble(elf, backend, config, None)?;
+        let mut session = Session::assemble(Arc::new(elf), backend, config, None)?;
         session.try_restore(&snapshot)?;
         Ok(session)
     }
 
     /// [`ExecutionEngine::restore`] for snapshots that may carry corrupt
-    /// device images — decoded [`Session::park`] bytes.
+    /// engine or device images — decoded [`Session::park`] bytes.
     ///
     /// # Errors
     ///
-    /// Returns the [`CodecError`] of a device image that does not
-    /// restore (see [`SocBus::restore_state`](cabt_platform::SocBus::restore_state)).
+    /// Returns the [`CodecError`] of an engine image whose table
+    /// indices do not fit the session's program
+    /// ([`Simulator::check_snapshot`],
+    /// [`VliwSim::check_snapshot`](cabt_vliw::sim::VliwSim::check_snapshot))
+    /// or of a device image that does not restore (see
+    /// [`SocBus::restore_state`](cabt_platform::SocBus::restore_state)).
     ///
     /// # Panics
     ///
@@ -1831,8 +1859,12 @@ impl Session {
     /// bytes).
     fn try_restore(&mut self, snapshot: &SessionSnapshot) -> Result<(), CodecError> {
         match (&mut self.vehicle, &snapshot.snap) {
-            (Vehicle::Golden { sim, .. }, Snap::Golden(s)) => sim.restore(s),
+            (Vehicle::Golden { sim, .. }, Snap::Golden(s)) => {
+                sim.check_snapshot(s)?;
+                sim.restore(s);
+            }
             (Vehicle::Translated { platform, .. }, Snap::Target { engine, sync }) => {
+                platform.sim().check_snapshot(engine)?;
                 platform.engine().restore(engine);
                 platform.restore_sync_device(sync);
             }
@@ -1886,22 +1918,69 @@ impl Session {
 
     /// Builds the vehicle for `backend` around `elf` into a session
     /// without observers — the one construction path of builds, shard
-    /// sets, resumes and shard adoptions.
+    /// sets, resumes and shard adoptions: build the program, then
+    /// instantiate it (a shard set builds one program for all shards).
     fn assemble(
-        elf: ElfFile,
+        elf: Arc<ElfFile>,
         backend: Backend,
         config: BuildConfig,
         soc_bus: Option<SharedSocBus>,
     ) -> Result<Session, SessionError> {
-        Ok(Session {
-            vehicle: SimBuilder::build_vehicle(&elf, backend, config, soc_bus)?,
+        let Backend::Sharded {
+            cores,
+            backend: base,
+            schedule,
+        } = backend
+        else {
+            let program = Program::build(&elf, backend, config)?;
+            return Session::instantiate(&program, elf, backend, config, soc_bus);
+        };
+        if cores == 0 {
+            return Err(SessionError::ShardConfig(
+                "a sharded backend needs at least one core".into(),
+            ));
+        }
+        if soc_bus.is_some() {
+            return Err(SessionError::ShardConfig(
+                "sharded sessions own their device fabric; `soc_bus` is not accepted".into(),
+            ));
+        }
+        let set = ShardSet::build(&elf, cores, base, schedule, config)?;
+        Ok(Session::with_vehicle(
+            Vehicle::Sharded(Box::new(set)),
+            elf,
+            backend,
+            config,
+        ))
+    }
+
+    /// A single-core session over an already-built `program`.
+    fn instantiate(
+        program: &Program,
+        elf: Arc<ElfFile>,
+        backend: Backend,
+        config: BuildConfig,
+        soc_bus: Option<SharedSocBus>,
+    ) -> Result<Session, SessionError> {
+        let vehicle = program.instantiate(&elf, backend, config, soc_bus)?;
+        Ok(Session::with_vehicle(vehicle, elf, backend, config))
+    }
+
+    fn with_vehicle(
+        vehicle: Vehicle,
+        elf: Arc<ElfFile>,
+        backend: Backend,
+        config: BuildConfig,
+    ) -> Session {
+        Session {
+            vehicle,
             elf,
             backend,
             config,
             epoch: DEFAULT_EPOCH,
             on_epoch: Vec::new(),
             on_stop: Vec::new(),
-        })
+        }
     }
 
     /// Parses and validates a park envelope without building a vehicle —
@@ -1977,7 +2056,10 @@ impl Session {
     /// slot `i`, so the barrier fabric keeps aliasing the shard's
     /// devices, and the envelope's snapshot (engine state plus the
     /// donor's private bus image) is restored into it. Run at an epoch
-    /// barrier, the migrated run replays bit-identically.
+    /// barrier, the migrated run replays bit-identically. An envelope
+    /// with the set's own image, backend and configuration is
+    /// instantiated from the program the set already shares; anything
+    /// else builds its own.
     ///
     /// `backend_override` rebuilds the shard on a *different* vehicle —
     /// a different dispatch tier of the same vehicle kind (pre-decoded
@@ -2031,7 +2113,22 @@ impl Session {
         // rolls it back, so a rejected envelope leaves the session as
         // it was.
         let before = bus.as_ref().map(SharedSocBus::save_state);
-        let mut shard = Session::assemble(elf, backend, config, bus.clone())?;
+        // The parked shard of this very set (same image, backend and
+        // configuration) re-instantiates the set's program; anything
+        // else — an override onto another tier, a foreign image —
+        // builds its own.
+        let mut shard =
+            if backend == set.shard_backend && config == set.shard_config && elf == *self.elf {
+                Session::instantiate(
+                    &set.program,
+                    Arc::clone(&self.elf),
+                    backend,
+                    config,
+                    bus.clone(),
+                )?
+            } else {
+                Session::assemble(Arc::new(elf), backend, config, bus.clone())?
+            };
         if let Err(e) = shard.try_restore(&snapshot) {
             if let (Some(bus), Some(before)) = (bus, before) {
                 bus.restore_state(&before)
@@ -2140,24 +2237,14 @@ impl ExecutionEngine for Session {
     fn reset(&mut self) {
         match &mut self.vehicle {
             Vehicle::Golden { sim, .. } => sim.reset(),
-            Vehicle::Translated {
-                platform,
-                image,
-                cfg,
-                dispatch,
-                trace_config,
-                shared,
-            } => {
-                let mut fresh = match shared {
-                    Some(bus) => Platform::with_shared_bus(image, *cfg, bus.clone()),
-                    None => Platform::new(image, *cfg),
-                }
-                .expect("rebuilding a platform that built once");
-                if let Some(tc) = trace_config {
-                    fresh.set_trace_config(*tc);
-                }
-                fresh.set_dispatch(*dispatch);
-                **platform = fresh;
+            // The platform's mutable parts — engine state over the
+            // image's shared program, synchronization device, owned
+            // devices — are rebuilt; the program is not.
+            Vehicle::Translated { image, shared, .. } => {
+                let (program, shared) = (Program::Translated(Arc::clone(image)), shared.clone());
+                self.vehicle = program
+                    .instantiate(&self.elf, self.backend, self.config, shared)
+                    .expect("rebuilding a platform that built once");
             }
             Vehicle::Rtl(core) => core.reset(),
             Vehicle::Sharded(set) => set.reset(),
@@ -2688,5 +2775,154 @@ mod tests {
         let stop = cabt_exec::run_epochs(&mut s, 1_000_000, 64, |_| {}).unwrap();
         assert_eq!(stop, StopCause::Halted);
         assert_eq!(s.read_d(2), 55);
+    }
+
+    /// The engine-level shared program behind a single-core session.
+    enum EngineProgram {
+        Golden(Arc<cabt_tricore::sim::Program>),
+        Target(Arc<cabt_vliw::sim::Program>),
+    }
+
+    fn engine_program(s: &Session) -> EngineProgram {
+        match &s.vehicle {
+            Vehicle::Golden { sim, .. } => EngineProgram::Golden(Arc::clone(sim.program())),
+            Vehicle::Translated { platform, .. } => {
+                EngineProgram::Target(Arc::clone(platform.sim().program()))
+            }
+            _ => panic!("no shared engine program on a {} vehicle", s.vehicle.name()),
+        }
+    }
+
+    fn same_program(a: &Session, b: &Session) -> bool {
+        match (engine_program(a), engine_program(b)) {
+            (EngineProgram::Golden(x), EngineProgram::Golden(y)) => Arc::ptr_eq(&x, &y),
+            (EngineProgram::Target(x), EngineProgram::Target(y)) => Arc::ptr_eq(&x, &y),
+            _ => false,
+        }
+    }
+
+    const SHARING_CORES: u16 = 16;
+
+    /// The base backends the sharing tests cover, each with another
+    /// dispatch tier of the same vehicle to adopt a shard onto.
+    fn sharing_bases() -> [(Backend, Backend); 2] {
+        [
+            (
+                Backend::translated_trace(DetailLevel::Static),
+                Backend::translated_compiled(DetailLevel::Static),
+            ),
+            (Backend::golden_compiled(), Backend::golden_trace()),
+        ]
+    }
+
+    #[test]
+    fn shard_sets_build_one_program_and_keep_it_across_reset_and_adoption() {
+        let elf = cabt_workloads::by_name("producer_consumer")
+            .unwrap()
+            .elf()
+            .unwrap();
+        for (base, other_tier) in sharing_bases() {
+            let mut s = SimBuilder::elf(elf.clone())
+                .backend(Backend::sharded(SHARING_CORES, base))
+                .build()
+                .unwrap();
+            let shared_by_all = |s: &Session| {
+                let first = s.shard(0).unwrap();
+                (1..s.shard_count()).all(|i| same_program(first, s.shard(i).unwrap()))
+            };
+            assert!(shared_by_all(&s), "{base}: shards built their own programs");
+            s.run(Limit::Cycles(2_000)).unwrap();
+            s.reset();
+            assert!(shared_by_all(&s), "{base}: reset rebuilt a program");
+            s.run(Limit::Cycles(2_000)).unwrap();
+            let parked = s.park_shard(3).unwrap();
+            s.adopt_shard(3, &parked, None).unwrap();
+            assert!(shared_by_all(&s), "{base}: same-image adoption rebuilt");
+            // A resumed session's shards share too: its image came back
+            // from the envelope and still equals every parked shard's.
+            let mut resumed = Session::resume(&s.park().unwrap()).unwrap();
+            assert!(shared_by_all(&resumed), "{base}: resumed set");
+            let parked = resumed.park_shard(2).unwrap();
+            resumed.adopt_shard(2, &parked, None).unwrap();
+            assert!(shared_by_all(&resumed), "{base}: resumed-set adoption");
+            // Another tier is another program.
+            let parked = s.park_shard(5).unwrap();
+            s.adopt_shard(5, &parked, Some(other_tier)).unwrap();
+            assert!(
+                !same_program(s.shard(0).unwrap(), s.shard(5).unwrap()),
+                "{base}: an override adoption must build its own program"
+            );
+        }
+    }
+
+    #[test]
+    fn shared_program_shards_match_one_at_a_time_builds() {
+        let w = cabt_workloads::by_name("producer_consumer").unwrap();
+        let elf = w.elf().unwrap();
+        let n = SHARING_CORES;
+        for (base, _) in sharing_bases() {
+            let mut shared = SimBuilder::elf(elf.clone())
+                .backend(Backend::sharded(n, base))
+                .build()
+                .unwrap();
+            assert_eq!(
+                shared.run(Limit::Cycles(50_000_000)).unwrap(),
+                StopCause::Halted,
+                "{base}"
+            );
+
+            // The unshared construction: one build per shard around its
+            // own bus, the arbiter over a mirror population.
+            let buses: Vec<SharedSocBus> = (0..n)
+                .map(|id| {
+                    SharedSocBus::new(cabt_platform::shard_soc_bus(u32::from(id), u32::from(n)))
+                })
+                .collect();
+            let mut shards: Vec<Session> = buses
+                .iter()
+                .enumerate()
+                .map(|(id, bus)| {
+                    let mut s = SimBuilder::elf(elf.clone())
+                        .backend(base)
+                        .soc_bus(bus.clone())
+                        .build()
+                        .unwrap();
+                    s.write_d(15, id as u32);
+                    s
+                })
+                .collect();
+            for pair in shards.windows(2) {
+                assert!(!same_program(&pair[0], &pair[1]), "{base}: oracle shares");
+            }
+            let mut arbiter = ShardArbiter::new(cabt_platform::mirror_soc_bus(u32::from(n)), buses);
+            let stop = cabt_exec::run_epoch_rounds(
+                &mut shards,
+                Limit::Cycles(50_000_000),
+                SHARD_EPOCH_CYCLES,
+                |_| {
+                    arbiter.exchange();
+                },
+            )
+            .unwrap();
+            assert_eq!(stop, StopCause::Halted, "{base}");
+
+            for (i, oracle) in shards.iter().enumerate() {
+                assert_eq!(
+                    cabt_exec::fingerprint_engine(shared.shard(i).unwrap()),
+                    cabt_exec::fingerprint_engine(oracle),
+                    "{base}: shard {i} diverged from its one-at-a-time build"
+                );
+                assert_eq!(oracle.read_d(2), w.expected_d2, "{base}: shard {i}");
+            }
+            let expected = ShardedStats {
+                per_shard: shards.iter().map(ExecutionEngine::engine_stats).collect(),
+                aggregate: cabt_exec::aggregate_stats(&shards),
+                bus_transactions: arbiter.transactions(),
+                epochs: arbiter.epochs(),
+                uart: arbiter.uart_log(),
+            };
+            assert!(!expected.uart.is_empty(), "{base}: the run transmits");
+            assert_eq!(shared.sharded_stats().unwrap(), expected, "{base}");
+        }
     }
 }

@@ -287,6 +287,24 @@ pub struct CacheSim {
 const VALID: u64 = 1 << 32;
 
 impl CacheSim {
+    /// Checks that a decoded cache image has the geometry `cfg`
+    /// describes — the engine's own configuration — so restoring it
+    /// cannot index outside its tag and LRU arrays.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::BadLength`] on any mismatch.
+    pub fn check_config(&self, cfg: &CacheConfig) -> Result<(), CodecError> {
+        let n = (cfg.sets * cfg.ways) as usize;
+        if self.cfg != *cfg || self.tags.len() != n || self.lru.len() != n {
+            return Err(CodecError::BadLength {
+                what: "cache image",
+                len: self.tags.len() as u64,
+            });
+        }
+        Ok(())
+    }
+
     /// Creates an empty (all-invalid) cache.
     pub fn new(cfg: CacheConfig) -> Self {
         let n = (cfg.sets * cfg.ways) as usize;
@@ -593,10 +611,17 @@ impl TimingState {
         let pair = if r.bool()? {
             let cycle = r.u64()?;
             let writes: [u8; 2] = r.raw(2)?.try_into().expect("2 bytes");
+            let nwrites = r.u8()?;
+            if nwrites > 2 || writes.iter().any(|&w| usize::from(w) >= 32) {
+                return Err(CodecError::BadLength {
+                    what: "dual-issue write set",
+                    len: u64::from(nwrites),
+                });
+            }
             Some(PairSlot {
                 cycle,
                 writes,
-                nwrites: r.u8()?,
+                nwrites,
             })
         } else {
             None

@@ -153,7 +153,7 @@ impl Hot<'_> {
 
 /// One fused instruction: fetch accounting + semantics + timing in a
 /// single specialized body behind one indirect call.
-pub(crate) type OpFn = Box<dyn Fn(&mut Hot<'_>) -> Result<Ctl, SimError> + Send>;
+pub(crate) type OpFn = Box<dyn Fn(&mut Hot<'_>) -> Result<Ctl, SimError> + Send + Sync>;
 
 /// One compiled basic block: its op run plus the terminator's resolved
 /// exits (instruction-table indices, like the pre-decoded entries, so
@@ -493,7 +493,7 @@ macro_rules! by_class {
 /// core passes for non-conditionals), then the fixed exit.
 fn fuse<F>(m: Meta, exit: Ctl, body: F) -> OpFn
 where
-    F: Fn(&mut Hot<'_>) -> Result<(), SimError> + Send + 'static,
+    F: Fn(&mut Hot<'_>) -> Result<(), SimError> + Send + Sync + 'static,
 {
     by_class!(fuse_class, m, exit, body)
 }
@@ -504,7 +504,7 @@ fn fuse_class<const IS_LS: bool, const IS_BR: bool, const FETCH: bool, F>(
     body: F,
 ) -> OpFn
 where
-    F: Fn(&mut Hot<'_>) -> Result<(), SimError> + Send + 'static,
+    F: Fn(&mut Hot<'_>) -> Result<(), SimError> + Send + Sync + 'static,
 {
     Box::new(move |h| {
         if FETCH {
@@ -527,7 +527,7 @@ where
 /// the compiled form of `finish_step`.
 fn fuse_cond<F>(m: Meta, body: F) -> OpFn
 where
-    F: Fn(&mut Hot<'_>) -> bool + Send + 'static,
+    F: Fn(&mut Hot<'_>) -> bool + Send + Sync + 'static,
 {
     by_class!(fuse_cond_class, m, body)
 }
@@ -537,7 +537,7 @@ fn fuse_cond_class<const IS_LS: bool, const IS_BR: bool, const FETCH: bool, F>(
     body: F,
 ) -> OpFn
 where
-    F: Fn(&mut Hot<'_>) -> bool + Send + 'static,
+    F: Fn(&mut Hot<'_>) -> bool + Send + Sync + 'static,
 {
     Box::new(move |h| {
         if FETCH {
@@ -565,7 +565,7 @@ where
 /// Fuses an indirect terminator: the body computes the destination.
 fn fuse_indirect<F>(m: Meta, body: F) -> OpFn
 where
-    F: Fn(&mut Hot<'_>) -> u32 + Send + 'static,
+    F: Fn(&mut Hot<'_>) -> u32 + Send + Sync + 'static,
 {
     by_class!(fuse_indirect_class, m, body)
 }
@@ -575,7 +575,7 @@ fn fuse_indirect_class<const IS_LS: bool, const IS_BR: bool, const FETCH: bool, 
     body: F,
 ) -> OpFn
 where
-    F: Fn(&mut Hot<'_>) -> u32 + Send + 'static,
+    F: Fn(&mut Hot<'_>) -> u32 + Send + Sync + 'static,
 {
     Box::new(move |h| {
         if FETCH {

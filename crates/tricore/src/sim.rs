@@ -57,6 +57,7 @@ use cabt_isa::mem::Memory;
 use cabt_isa::IsaError;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Start of the memory-mapped I/O region on the source SoC bus.
 pub const IO_BASE: u32 = 0xf000_0000;
@@ -225,6 +226,9 @@ pub enum DispatchMode {
 /// Sentinel for "no table entry".
 pub(crate) const NO_IDX: u32 = u32::MAX;
 
+/// Initial stack pointer (`%a10`) of every fresh or reset simulator.
+const STACK_TOP: u32 = 0xd003_0000;
+
 /// One pre-decoded instruction: the decoded form plus everything the
 /// hot loop would otherwise recompute per step.
 #[derive(Debug, Clone, Copy)]
@@ -268,8 +272,8 @@ impl PreInstr {
 /// `snapshot → run → restore → run` replays bit-identically: registers,
 /// data memory, pipeline timing state, cache contents, statistics and
 /// the cached dispatch index. The pre-decoded table, the address index
-/// and the timing model are load-time constants and stay shared with
-/// the engine.
+/// and the timing model live in the engine's shared [`Program`] and are
+/// not captured.
 #[derive(Debug, Clone)]
 pub struct SimSnapshot {
     cpu: Cpu,
@@ -450,95 +454,58 @@ enum Flow {
     Indirect(u32),
 }
 
-/// The golden-model simulator.
+/// The immutable half of a golden-model engine: everything derived
+/// from the loaded image and the architecture description alone — the
+/// pre-decoded instruction table, the address index, the timing model,
+/// the load image and, built once on first demand, the block-compiled
+/// closure table.
 ///
-/// # Example
-///
-/// ```
-/// use cabt_tricore::{asm::assemble, sim::Simulator};
-///
-/// let elf = assemble(".text\n_start: mov %d2, 7\n debug\n")?;
-/// let mut sim = Simulator::new(&elf)?;
-/// sim.run(100)?;
-/// assert_eq!(sim.cpu.d(2), 7);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub struct Simulator {
-    /// Architectural register state.
-    pub cpu: Cpu,
-    /// Data memory (code is pre-decoded and never read as data).
-    pub mem: Memory,
-    /// Pristine copy of `mem` as loaded from the image, restored by
-    /// [`ExecutionEngine::reset`] so reruns are reproducible even when
-    /// the program mutates its data sections.
-    mem_image: Memory,
+/// A `Program` is built once and shared through an [`Arc`] by every
+/// [`Simulator`] instantiated from it ([`Simulator::from_program`]):
+/// all shards of a sharded session, every reset and every matching
+/// shard adoption run the same decoded and compiled code. Nothing in it
+/// changes after construction except the one-time compiled table, so
+/// sharing is invisible to the simulated machine.
+pub struct Program {
     arch: ArchDesc,
     model: TimingModel,
-    tstate: TimingState,
-    cache: Option<CacheSim>,
-    /// Copy of the cache geometry (hot loop must not borrow the cache).
-    cache_cfg: CacheConfig,
+    /// Data memory as loaded from the image: each simulator's initial
+    /// memory and what [`ExecutionEngine::reset`] restores.
+    mem_image: Memory,
     /// Pre-decoded instruction table, sorted by address. The naive path
     /// fetches through `index_of` into this table — the same per-step
     /// address hash the seed's instruction map cost.
     table: Vec<PreInstr>,
     /// Address → table index (entry points, indirect jumps).
     index_of: HashMap<u32, u32>,
-    /// Block-compiled closure table (built by
-    /// [`Simulator::set_dispatch`] on first selection of
-    /// [`DispatchMode::Compiled`]; a load-time constant afterwards,
-    /// shared by snapshots like the pre-decoded table).
-    compiled: Option<CompiledProgram>,
-    /// Trace-tier state (profile, formed traces, coverage counters) —
-    /// built on first selection of [`DispatchMode::Trace`]. Formed
-    /// traces are deterministic compilations of load-time data, so
-    /// like the compiled table they survive [`ExecutionEngine::reset`]
-    /// and are not part of snapshots: whichever tier dispatches a
-    /// block, the architectural trajectory is identical.
-    trace: Option<Box<TraceTier>>,
-    /// Trace-tier knobs ([`Simulator::set_trace_config`]).
-    trace_cfg: TraceConfig,
-    /// Cached table index of `cpu.pc` (`NO_IDX` forces a map lookup).
-    cur: u32,
-    mode: DispatchMode,
     entry: u32,
-    stats: RunStats,
-    io: Option<Box<dyn IoDevice>>,
-    halted: bool,
+    /// Table index of `entry` (`NO_IDX` when it is not decoded code).
+    entry_idx: u32,
+    /// Block-compiled closure table, built by the first simulator that
+    /// selects [`DispatchMode::Compiled`] or [`DispatchMode::Trace`].
+    compiled: OnceLock<CompiledProgram>,
 }
 
-impl fmt::Debug for Simulator {
+impl fmt::Debug for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Simulator")
-            .field("pc", &self.cpu.pc)
-            .field("mode", &self.mode)
-            .field("stats", &self.stats)
-            .field("halted", &self.halted)
+        f.debug_struct("Program")
+            .field("entry", &self.entry)
+            .field("instructions", &self.table.len())
+            .field("compiled", &self.compiled.get().is_some())
             .finish_non_exhaustive()
     }
 }
 
-impl Simulator {
-    /// Builds a simulator for `elf` with the default architecture
-    /// description (48 MHz TC10GP-like core, 1 KiB 2-way I-cache).
+impl Program {
+    /// Loads and pre-decodes `elf` under `arch`.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] if the image fails to load or its code
     /// section does not decode.
-    pub fn new(elf: &ElfFile) -> Result<Self, SimError> {
-        Self::with_arch(elf, ArchDesc::default())
-    }
-
-    /// Builds a simulator with an explicit architecture description.
-    ///
-    /// # Errors
-    ///
-    /// See [`Simulator::new`].
-    pub fn with_arch(elf: &ElfFile, arch: ArchDesc) -> Result<Self, SimError> {
-        let mut mem = Memory::new();
-        elf.load_into(&mut mem)?;
-        let mem_image = mem.clone();
+    pub fn new(elf: &ElfFile, arch: ArchDesc) -> Result<Program, SimError> {
+        let mut mem_image = Memory::new();
+        elf.load_into(&mut mem_image)?;
         let mut decoded: Vec<(u32, Instr)> = Vec::new();
         for s in &elf.sections {
             if s.kind == cabt_isa::elf::SectionKind::Text {
@@ -584,34 +551,198 @@ impl Simulator {
                 }
             })
             .collect();
-
-        let mut cpu = Cpu {
-            pc: elf.entry,
-            ..Cpu::default()
-        };
-        cpu.set_a(10, 0xd003_0000); // default stack pointer
-        let cur = index_of.get(&elf.entry).copied().unwrap_or(NO_IDX);
-        Ok(Simulator {
-            cpu,
-            mem,
-            mem_image,
-            model,
-            cache: Some(CacheSim::new(arch.cache)),
-            cache_cfg: arch.cache,
+        let entry_idx = index_of.get(&elf.entry).copied().unwrap_or(NO_IDX);
+        Ok(Program {
             arch,
-            tstate: TimingState::new(),
+            model,
+            mem_image,
             table,
             index_of,
-            compiled: None,
+            entry: elf.entry,
+            entry_idx,
+            compiled: OnceLock::new(),
+        })
+    }
+
+    /// The block-compiled closure table, compiled on first use — the
+    /// one place the golden model calls the block compiler.
+    fn compiled(&self) -> &CompiledProgram {
+        self.compiled
+            .get_or_init(|| compiled::compile(&self.table, self.entry_idx))
+    }
+
+    /// Table index of `pc`: the cached index `cur` when it still
+    /// matches, else one address-map lookup.
+    #[inline]
+    fn resolve(&self, cur: u32, pc: u32) -> Result<u32, SimError> {
+        if self.table.get(cur as usize).is_some_and(|p| p.pc == pc) {
+            Ok(cur)
+        } else {
+            self.index_of
+                .get(&pc)
+                .copied()
+                .ok_or(SimError::PcInvalid { pc })
+        }
+    }
+
+    /// Table index of a computed jump target (`NO_IDX` off the image).
+    #[inline]
+    fn index(&self, pc: u32) -> u32 {
+        self.index_of.get(&pc).copied().unwrap_or(NO_IDX)
+    }
+}
+
+/// The golden-model simulator: per-session mutable state — registers,
+/// data memory, pipeline timing and cache state, statistics, the I/O
+/// device and the trace tier — over a shared, immutable [`Program`].
+///
+/// Constructing a simulator from an existing program
+/// ([`Simulator::from_program`]) costs one copy of the load image; the
+/// decode and compile work lives in the program and is paid once.
+///
+/// # Example
+///
+/// ```
+/// use cabt_tricore::{asm::assemble, sim::Simulator};
+///
+/// let elf = assemble(".text\n_start: mov %d2, 7\n debug\n")?;
+/// let mut sim = Simulator::new(&elf)?;
+/// sim.run(100)?;
+/// assert_eq!(sim.cpu.d(2), 7);
+///
+/// // A second engine over the same program shares its decoded table.
+/// let mut twin = Simulator::from_program(sim.program().clone());
+/// twin.run(100)?;
+/// assert_eq!(twin.cpu.d(2), 7);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub struct Simulator {
+    /// Architectural register state.
+    pub cpu: Cpu,
+    /// Data memory (code is pre-decoded and never read as data).
+    pub mem: Memory,
+    /// The shared immutable program this engine executes.
+    prog: Arc<Program>,
+    tstate: TimingState,
+    cache: Option<CacheSim>,
+    /// Copy of the cache geometry (hot loop must not borrow the cache).
+    cache_cfg: CacheConfig,
+    /// Trace-tier state (profile, formed traces, coverage counters) —
+    /// built on first selection of [`DispatchMode::Trace`]. Formed
+    /// traces are deterministic compilations of load-time data, so
+    /// they survive [`ExecutionEngine::restore`] and are not part of
+    /// snapshots: whichever tier dispatches a block, the architectural
+    /// trajectory is identical. They stay per engine because they
+    /// depend on the engine's own profile.
+    trace: Option<Box<TraceTier>>,
+    /// Trace-tier knobs ([`Simulator::set_trace_config`]).
+    trace_cfg: TraceConfig,
+    /// Cached table index of `cpu.pc` (`NO_IDX` forces a map lookup).
+    cur: u32,
+    mode: DispatchMode,
+    stats: RunStats,
+    io: Option<Box<dyn IoDevice>>,
+    halted: bool,
+}
+
+impl fmt::Debug for Simulator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Simulator")
+            .field("pc", &self.cpu.pc)
+            .field("mode", &self.mode)
+            .field("stats", &self.stats)
+            .field("halted", &self.halted)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Simulator {
+    /// Builds a simulator for `elf` with the default architecture
+    /// description (48 MHz TC10GP-like core, 1 KiB 2-way I-cache).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] if the image fails to load or its code
+    /// section does not decode.
+    pub fn new(elf: &ElfFile) -> Result<Self, SimError> {
+        Self::with_arch(elf, ArchDesc::default())
+    }
+
+    /// Builds a simulator with an explicit architecture description:
+    /// decodes a fresh [`Program`] and instantiates it.
+    ///
+    /// # Errors
+    ///
+    /// See [`Simulator::new`].
+    pub fn with_arch(elf: &ElfFile, arch: ArchDesc) -> Result<Self, SimError> {
+        Ok(Self::from_program(Arc::new(Program::new(elf, arch)?)))
+    }
+
+    /// Instantiates a simulator over a shared program, in the state a
+    /// fresh load leaves it: registers cleared, the stack pointer set,
+    /// memory copied from the load image, a cold cache, pre-decoded
+    /// dispatch.
+    pub fn from_program(prog: Arc<Program>) -> Self {
+        let mut cpu = Cpu {
+            pc: prog.entry,
+            ..Cpu::default()
+        };
+        cpu.set_a(10, STACK_TOP);
+        Simulator {
+            cpu,
+            mem: prog.mem_image.clone(),
+            tstate: TimingState::new(),
+            cache: Some(CacheSim::new(prog.arch.cache)),
+            cache_cfg: prog.arch.cache,
             trace: None,
             trace_cfg: TraceConfig::default(),
-            cur,
+            cur: prog.entry_idx,
             mode: DispatchMode::default(),
-            entry: elf.entry,
             stats: RunStats::default(),
             io: None,
             halted: false,
-        })
+            prog,
+        }
+    }
+
+    /// The shared program this simulator executes — clone the [`Arc`]
+    /// to instantiate more engines over it.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.prog
+    }
+
+    /// Checks that `snap` fits this engine before it is restored:
+    /// every table index it carries lies inside the shared program and
+    /// every trace-tier vector has the program's block count. Snapshots
+    /// this engine captured always fit; decoded bytes may not, and an
+    /// unchecked index would fault only later, when the engine runs.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::BadIndex`] for an out-of-range dispatch index,
+    /// [`CodecError::BadLength`] for a cache or trace-tier image of the
+    /// wrong shape.
+    pub fn check_snapshot(&self, snap: &SimSnapshot) -> Result<(), CodecError> {
+        if snap.cur != NO_IDX && snap.cur as usize >= self.prog.table.len() {
+            return Err(CodecError::BadIndex {
+                what: "golden dispatch index",
+                index: u64::from(snap.cur),
+            });
+        }
+        if let Some(cache) = &snap.cache {
+            cache.check_config(&self.prog.arch.cache)?;
+        }
+        if let (Some(tier), Some(t)) = (&self.trace, &snap.trace) {
+            let blocks = tier.traces.len();
+            t.profile.check_blocks(blocks)?;
+            if t.formed.len() != blocks {
+                return Err(CodecError::BadLength {
+                    what: "formed trace flags",
+                    len: t.formed.len() as u64,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Disables the instruction-cache model (an ideal-memory variant used
@@ -621,18 +752,17 @@ impl Simulator {
     }
 
     /// Selects the dispatch core (pre-decoded by default). Selecting
-    /// [`DispatchMode::Compiled`] for the first time fuses the whole
-    /// pre-decoded table into per-block closure runs (a one-off
-    /// load-time cost, like the pre-decode pass itself).
+    /// [`DispatchMode::Compiled`] or [`DispatchMode::Trace`] compiles
+    /// the shared program's per-block closure runs if no engine over
+    /// it did so yet (a one-off load-time cost, like the pre-decode
+    /// pass itself).
     pub fn set_dispatch(&mut self, mode: DispatchMode) {
         self.mode = mode;
-        if matches!(mode, DispatchMode::Compiled | DispatchMode::Trace) && self.compiled.is_none() {
-            let entry = self.index_of.get(&self.entry).copied().unwrap_or(NO_IDX);
-            self.compiled = Some(compiled::compile(&self.table, entry));
-        }
-        if mode == DispatchMode::Trace && self.trace.is_none() {
-            let blocks = self.compiled.as_ref().expect("compiled above").map.len();
-            self.trace = Some(Box::new(TraceTier::new(blocks, self.trace_cfg)));
+        if matches!(mode, DispatchMode::Compiled | DispatchMode::Trace) {
+            let blocks = self.prog.compiled().map.len();
+            if mode == DispatchMode::Trace && self.trace.is_none() {
+                self.trace = Some(Box::new(TraceTier::new(blocks, self.trace_cfg)));
+            }
         }
     }
 
@@ -647,13 +777,8 @@ impl Simulator {
     /// fresh profile and no formed traces.
     pub fn set_trace_config(&mut self, cfg: TraceConfig) {
         self.trace_cfg = cfg;
-        if self.trace.is_some() {
-            let blocks = self
-                .compiled
-                .as_ref()
-                .map(|p| p.map.len())
-                .unwrap_or_default();
-            self.trace = Some(Box::new(TraceTier::new(blocks, cfg)));
+        if let Some(tier) = &mut self.trace {
+            **tier = TraceTier::new(tier.traces.len(), cfg);
         }
     }
 
@@ -687,7 +812,7 @@ impl Simulator {
 
     /// The architecture description in use.
     pub fn arch(&self) -> &ArchDesc {
-        &self.arch
+        &self.prog.arch
     }
 
     /// Counters accumulated so far.
@@ -745,18 +870,7 @@ impl Simulator {
     /// path, where `cpu.pc` parks on the faulting instruction just as
     /// the interpretive cores leave it.
     fn step_compiled(&mut self) -> Result<Instr, SimError> {
-        if self.compiled.is_none() {
-            // Defensive: `set_dispatch` builds the table; keep the
-            // invariant even if the mode was forced some other way.
-            let entry = self.index_of.get(&self.entry).copied().unwrap_or(NO_IDX);
-            self.compiled = Some(compiled::compile(&self.table, entry));
-        }
-        let pc = self.cpu.pc;
-        let cur = if self.cur != NO_IDX && self.table[self.cur as usize].pc == pc {
-            self.cur
-        } else {
-            *self.index_of.get(&pc).ok_or(SimError::PcInvalid { pc })?
-        };
+        let cur = self.prog.resolve(self.cur, self.cpu.pc)?;
         // Mid-block entry (an indirect jump computed into the middle of
         // a block, or a debugger-forced pc): the fused closures assume
         // in-order execution from the block leader (their fetch
@@ -764,30 +878,25 @@ impl Simulator {
         // instruction-by-instruction until dispatch lands back on a
         // block leader. Rare by construction — every direct target and
         // post-control instruction *is* a leader.
-        let off = {
-            let prog = self.compiled.as_ref().expect("compiled table built above");
-            prog.map.location(cur).offset
-        };
-        if off != 0 {
+        if self.prog.compiled().map.location(cur).offset != 0 {
             self.cur = cur;
             return self.step_predecoded();
         }
         let Simulator {
-            compiled,
+            prog,
             cpu,
             mem,
             io,
             tstate,
             cache,
             cache_cfg,
-            model,
             stats,
             halted,
             cur: cur_field,
-            index_of,
             ..
         } = self;
-        let prog = compiled.as_ref().expect("compiled table built above");
+        let program: &Program = prog;
+        let prog = program.compiled();
         let blk = &prog.blocks[prog.map.location(cur).block as usize];
         let mut hot = Hot {
             cpu: &mut *cpu,
@@ -796,7 +905,7 @@ impl Simulator {
             tstate: &mut *tstate,
             cache: &mut *cache,
             cache_cfg: *cache_cfg,
-            model,
+            model: &program.model,
             stats: &mut *stats,
             halted: &mut *halted,
         };
@@ -820,7 +929,7 @@ impl Simulator {
         let (next_pc, next_idx) = match exit {
             Ctl::Next | Ctl::Fall => (blk.fall_pc, blk.fall_unit),
             Ctl::Taken => (blk.target_pc, blk.taken_unit),
-            Ctl::Indirect(a) => (a, index_of.get(&a).copied().unwrap_or(NO_IDX)),
+            Ctl::Indirect(a) => (a, program.index(a)),
         };
         cpu.pc = next_pc;
         *cur_field = next_idx;
@@ -839,42 +948,31 @@ impl Simulator {
     /// Retirement is batched per trace and reconstructed on the fault
     /// path exactly like the block core.
     fn step_trace(&mut self) -> Result<Instr, SimError> {
-        if self.compiled.is_none() || self.trace.is_none() {
-            // Defensive: `set_dispatch` builds both tables.
+        if self.trace.is_none() {
+            // Defensive: `set_dispatch` builds the tier.
             self.set_dispatch(DispatchMode::Trace);
         }
-        let pc = self.cpu.pc;
-        let cur = if self.cur != NO_IDX && self.table[self.cur as usize].pc == pc {
-            self.cur
-        } else {
-            *self.index_of.get(&pc).ok_or(SimError::PcInvalid { pc })?
-        };
-        let off = {
-            let prog = self.compiled.as_ref().expect("compiled table built above");
-            prog.map.location(cur).offset
-        };
-        if off != 0 {
+        let cur = self.prog.resolve(self.cur, self.cpu.pc)?;
+        if self.prog.compiled().map.location(cur).offset != 0 {
             self.cur = cur;
             return self.step_predecoded();
         }
         let Simulator {
-            compiled,
+            prog,
             trace,
-            table,
             cpu,
             mem,
             io,
             tstate,
             cache,
             cache_cfg,
-            model,
             stats,
             halted,
             cur: cur_field,
-            index_of,
             ..
         } = self;
-        let prog = compiled.as_ref().expect("compiled table built above");
+        let program: &Program = prog;
+        let prog = program.compiled();
         let tier = &mut **trace.as_mut().expect("trace tier built above");
         let head = prog.map.location(cur).block;
 
@@ -888,7 +986,7 @@ impl Simulator {
                 tier.tstats.traces += 1;
                 tier.tstats.trace_blocks += plan.blocks.len() as u64;
                 tier.traces[head as usize] = Some(compiled::compile_trace(
-                    table.as_slice(),
+                    &program.table,
                     &prog.map,
                     &plan,
                     cache_cfg.line_bytes,
@@ -903,7 +1001,7 @@ impl Simulator {
             tstate: &mut *tstate,
             cache: &mut *cache,
             cache_cfg: *cache_cfg,
-            model,
+            model: &program.model,
             stats: &mut *stats,
             halted: &mut *halted,
         };
@@ -1004,7 +1102,7 @@ impl Simulator {
                 let (next_pc, next_idx) = match exit {
                     Ctl::Next | Ctl::Fall => (seg.fall_pc, seg.fall_unit),
                     Ctl::Taken => (seg.target_pc, seg.taken_unit),
-                    Ctl::Indirect(a) => (a, index_of.get(&a).copied().unwrap_or(NO_IDX)),
+                    Ctl::Indirect(a) => (a, program.index(a)),
                 };
                 // Direct side exits always land on block leaders
                 // (targets and post-terminator successors are leaders
@@ -1058,7 +1156,7 @@ impl Simulator {
         let (next_pc, next_idx) = match exit {
             Ctl::Next | Ctl::Fall => (blk.fall_pc, blk.fall_unit),
             Ctl::Taken => (blk.target_pc, blk.taken_unit),
-            Ctl::Indirect(a) => (a, index_of.get(&a).copied().unwrap_or(NO_IDX)),
+            Ctl::Indirect(a) => (a, program.index(a)),
         };
         hot.cpu.pc = next_pc;
         *cur_field = next_idx;
@@ -1071,12 +1169,8 @@ impl Simulator {
         let pc = self.cpu.pc;
         // The cached index is valid unless someone rewrote `cpu.pc`
         // behind our back (debuggers do); fall back to one map lookup.
-        let cur = if self.cur != NO_IDX && self.table[self.cur as usize].pc == pc {
-            self.cur
-        } else {
-            *self.index_of.get(&pc).ok_or(SimError::PcInvalid { pc })?
-        };
-        let pi = self.table[cur as usize];
+        let cur = self.prog.resolve(self.cur, pc)?;
+        let pi = self.prog.table[cur as usize];
 
         // Instruction-cache accounting over the precomputed line span.
         if let Some(cache) = &mut self.cache {
@@ -1099,11 +1193,11 @@ impl Simulator {
         let (next_pc, next_idx) = match flow {
             Flow::Fall => (pi.fall_pc, pi.fall),
             Flow::Direct => (pi.target_pc, pi.target),
-            Flow::Indirect(a) => (a, self.index_of.get(&a).copied().unwrap_or(NO_IDX)),
+            Flow::Indirect(a) => (a, self.prog.index(a)),
         };
 
         let dyn_taken = taken.or(Some(true));
-        self.model.step_pre(
+        self.prog.model.step_pre(
             &mut self.tstate,
             &pi.timing,
             dyn_taken,
@@ -1122,8 +1216,12 @@ impl Simulator {
     fn step_naive(&mut self) -> Result<Instr, SimError> {
         let pc = self.cpu.pc;
         // Address-hashed fetch on every step — the seed's dispatch shape.
-        let idx = *self.index_of.get(&pc).ok_or(SimError::PcInvalid { pc })?;
-        let instr = self.table[idx as usize].instr;
+        let idx = *self
+            .prog
+            .index_of
+            .get(&pc)
+            .ok_or(SimError::PcInvalid { pc })?;
+        let instr = self.prog.table[idx as usize].instr;
 
         // Instruction-cache accounting: charge each line the fetch touches.
         if let Some(cache) = &mut self.cache {
@@ -1155,9 +1253,9 @@ impl Simulator {
 
         // Timing: dynamic outcome for conditionals, exact for the rest.
         let dyn_taken = taken.or(Some(true));
-        self.model.step(&mut self.tstate, &instr, dyn_taken);
+        self.prog.model.step(&mut self.tstate, &instr, dyn_taken);
         let predicts = if taken.is_some() {
-            self.arch.timing.predicts_taken(&instr)
+            self.prog.arch.timing.predicts_taken(&instr)
         } else {
             None
         };
@@ -1464,18 +1562,18 @@ impl ExecutionEngine for Simulator {
     /// Flat register space: `0..16` = `D0..D15`, `16..32` = `A0..A15`.
     fn reset(&mut self) {
         self.cpu = Cpu {
-            pc: self.entry,
+            pc: self.prog.entry,
             ..Cpu::default()
         };
-        self.cpu.set_a(10, 0xd003_0000);
-        self.mem = self.mem_image.clone();
+        self.cpu.set_a(10, STACK_TOP);
+        self.mem = self.prog.mem_image.clone();
         self.tstate = TimingState::new();
         if self.cache.is_some() {
-            self.cache = Some(CacheSim::new(self.arch.cache));
+            self.cache = Some(CacheSim::new(self.prog.arch.cache));
         }
         self.stats = RunStats::default();
         self.halted = false;
-        self.cur = self.index_of.get(&self.entry).copied().unwrap_or(NO_IDX);
+        self.cur = self.prog.entry_idx;
         // A reset engine reruns from a cold trace profile, so a rerun
         // reproduces the original run exactly — budget stop points
         // included, not just the architectural trajectory.
@@ -1499,9 +1597,7 @@ impl ExecutionEngine for Simulator {
 
     fn pc(&self) -> Option<u32> {
         let pc = self.cpu.pc;
-        let known = (self.cur != NO_IDX && self.table[self.cur as usize].pc == pc)
-            || self.index_of.contains_key(&pc);
-        known.then_some(pc)
+        self.prog.resolve(self.cur, pc).ok().map(|_| pc)
     }
 
     fn reg_count(&self) -> usize {
@@ -1996,6 +2092,49 @@ mod tests {
                 Err(SimError::PcInvalid { pc: 0x1234_0000 })
             ));
         }
+    }
+
+    #[test]
+    fn engines_share_one_program_and_check_restored_indices() {
+        let elf = assemble(".text\n_start: mov %d1, 1\nmov %d2, 2\ndebug\n").unwrap();
+        let mut sim = Simulator::new(&elf).unwrap();
+        sim.set_dispatch(DispatchMode::Trace);
+        let mut twin = Simulator::from_program(Arc::clone(sim.program()));
+        twin.set_dispatch(DispatchMode::Trace);
+        assert!(Arc::ptr_eq(sim.program(), twin.program()));
+        sim.run(100).unwrap();
+        twin.run(100).unwrap();
+        assert_eq!(sim.stats(), twin.stats(), "twins run the same machine");
+
+        let good = sim.snapshot();
+        assert_eq!(sim.check_snapshot(&good), Ok(()));
+        let check = |f: &dyn Fn(&mut SimSnapshot)| {
+            let mut snap = good.clone();
+            f(&mut snap);
+            sim.check_snapshot(&snap)
+        };
+        assert_eq!(check(&|s| s.cur = NO_IDX), Ok(()), "no cached index");
+        assert!(matches!(
+            check(&|s| s.cur = 3),
+            Err(CodecError::BadIndex { index: 3, .. })
+        ));
+        assert!(matches!(
+            check(&|s| s.trace.as_mut().unwrap().profile.exec.push(0)),
+            Err(CodecError::BadLength { .. })
+        ));
+        assert!(matches!(
+            check(&|s| s.trace.as_mut().unwrap().formed.clear()),
+            Err(CodecError::BadLength { .. })
+        ));
+        assert!(matches!(
+            check(&|s| {
+                s.cache = Some(CacheSim::new(CacheConfig {
+                    sets: 8,
+                    ..CacheConfig::default()
+                }));
+            }),
+            Err(CodecError::BadLength { .. })
+        ));
     }
 
     #[test]

@@ -50,6 +50,7 @@ use cabt_isa::mem::Memory;
 use cabt_isa::IsaError;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A memory-mapped device region on the target's bus.
 ///
@@ -228,8 +229,8 @@ pub(crate) struct PreSlot {
 
 /// Resumable image of the VLIW core's mutable state — registers, data
 /// memory, fetch position, the delayed-write and branch-shadow pipeline
-/// state, and counters. The pre-decoded packet table and slot arena are
-/// load-time constants and stay shared with the engine; the attached
+/// state, and counters. The pre-decoded packet table and slot arena
+/// live in the engine's shared [`Program`] and are not captured; the attached
 /// [`TargetBus`] is owned by whoever attached it and is *not* captured
 /// (the same scope as [`ExecutionEngine::reset`]).
 #[derive(Debug, Clone)]
@@ -392,7 +393,141 @@ impl VliwSnapshot {
     }
 }
 
-/// The VLIW target simulator. See the crate docs for an example.
+/// The immutable half of a VLIW engine: the packet list, the address
+/// index (packet starts plus any registered branch aliases), the
+/// pre-decoded packet table and slot arena, and — built once on first
+/// demand — the closure-compiled packet table.
+///
+/// A `Program` is built once and shared through an [`Arc`] by every
+/// [`VliwSim`] instantiated from it ([`VliwSim::from_program`]): all
+/// shards of a sharded session, every platform rebuild on reset and
+/// every matching shard adoption run the same decoded and compiled
+/// packets. Nothing in it changes once it is shared except the one-time
+/// compiled table, so sharing is invisible to the simulated machine.
+pub struct Program {
+    packets: Vec<Packet>,
+    index: HashMap<u32, usize>,
+    /// Pre-decoded packet table, parallel to `packets`.
+    pre: Vec<PrePacket>,
+    /// Flattened slot arena for the pre-decoded path.
+    pre_slots: Vec<PreSlot>,
+    /// Closure-compiled packet table, built by the first engine that
+    /// selects [`VliwDispatch::Compiled`] or [`VliwDispatch::Trace`].
+    compiled: OnceLock<CompiledProgram>,
+}
+
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("packets", &self.packets.len())
+            .field("compiled", &self.compiled.get().is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Program {
+    /// Pre-decodes a packet list. Packet addresses index the
+    /// branch-target map; static branch targets are resolved to packet
+    /// indices once, here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VliwError::BadPc`] if two packets share an address.
+    pub fn new(packets: Vec<Packet>) -> Result<Program, VliwError> {
+        let mut index = HashMap::with_capacity(packets.len());
+        for (i, p) in packets.iter().enumerate() {
+            if index.insert(p.addr, i).is_some() {
+                return Err(VliwError::BadPc { addr: p.addr });
+            }
+        }
+        let mut pre = Vec::with_capacity(packets.len());
+        let mut pre_slots = Vec::new();
+        for p in &packets {
+            let first_slot = pre_slots.len() as u32;
+            for (pos, s) in p.slots().iter().enumerate() {
+                let slot_addr = p.addr + 8 * pos as u32;
+                let b_idx = match s.op {
+                    Op::B { disp21 } => {
+                        let dest = slot_addr.wrapping_add((disp21 as u32).wrapping_mul(4));
+                        index.get(&dest).map_or(NO_IDX, |&i| i as u32)
+                    }
+                    _ => NO_IDX,
+                };
+                pre_slots.push(PreSlot {
+                    slot: *s,
+                    slot_addr,
+                    b_idx,
+                    delay: s.op.delay_slots(),
+                });
+            }
+            pre.push(PrePacket {
+                issue: p.issue_cycles(),
+                first_slot,
+                nslots: p.slots().len() as u32,
+            });
+        }
+        Ok(Program {
+            packets,
+            index,
+            pre,
+            pre_slots,
+            compiled: OnceLock::new(),
+        })
+    }
+
+    /// Registers extra branch-target addresses resolving to existing
+    /// packets. A translated guest computes *source-world* code
+    /// addresses (`movh.a`/`lea` of a label, jump tables in data) and
+    /// branches through registers; the translator's block map provides
+    /// `(source block start, target packet address)` pairs here so
+    /// every register-indirect transfer — on every dispatch core, all
+    /// of which resolve through this one index — lands on the right
+    /// packet. Source and target address spaces are disjoint (the
+    /// target image lives below the source text base), so aliases can
+    /// never shadow a real packet address. Call before the program is
+    /// shared: it is immutable behind an [`Arc`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VliwError::BadPc`] if an alias collides with a packet
+    /// address (or a previous alias) or its destination is not a packet
+    /// start.
+    pub fn add_branch_aliases(
+        &mut self,
+        aliases: impl IntoIterator<Item = (u32, u32)>,
+    ) -> Result<(), VliwError> {
+        for (alias, dest) in aliases {
+            let idx = *self
+                .index
+                .get(&dest)
+                .ok_or(VliwError::BadPc { addr: dest })?;
+            if self
+                .index
+                .insert(alias, idx)
+                .is_some_and(|prev| prev != idx)
+            {
+                return Err(VliwError::BadPc { addr: alias });
+            }
+        }
+        Ok(())
+    }
+
+    /// The closure-compiled packet table, compiled on first use — the
+    /// one place the VLIW core calls the packet compiler.
+    fn compiled(&self) -> &CompiledProgram {
+        self.compiled
+            .get_or_init(|| compiled::compile(&self.pre, &self.pre_slots))
+    }
+}
+
+/// The VLIW target simulator: per-session mutable state — registers,
+/// data memory, the delayed-write and branch-shadow pipeline, counters,
+/// the device bus and the trace tier — over a shared, immutable
+/// [`Program`]. See the crate docs for an example.
+///
+/// Instantiating a simulator from an existing program
+/// ([`VliwSim::from_program`]) allocates only that state; the decode and
+/// compile work lives in the program and is paid once.
 pub struct VliwSim {
     regs: [u32; 64],
     /// Target data memory.
@@ -401,17 +536,11 @@ pub struct VliwSim {
     /// (loaders call it once the image is placed); restored on
     /// [`ExecutionEngine::reset`] so reruns are reproducible.
     mem_image: Option<Memory>,
-    program: Vec<Packet>,
-    index: HashMap<u32, usize>,
-    /// Pre-decoded packet table, parallel to `program`.
-    pre: Vec<PrePacket>,
-    /// Flattened slot arena for the pre-decoded path.
-    pre_slots: Vec<PreSlot>,
-    /// Closure-compiled packet table (built on first selection of
-    /// [`VliwDispatch::Compiled`]; a load-time constant afterwards).
-    compiled: Option<CompiledProgram>,
+    /// The shared immutable program this engine executes.
+    prog: Arc<Program>,
     /// Trace-tier state (profile counters + formed trace ranges), built
-    /// on selection of [`VliwDispatch::Trace`].
+    /// on selection of [`VliwDispatch::Trace`]. Per engine: it depends
+    /// on the engine's own profile.
     trace: Option<Box<TraceTier>>,
     /// Warm-up/threshold knobs the trace tier is built with.
     trace_cfg: TraceConfig,
@@ -448,55 +577,25 @@ impl fmt::Debug for VliwSim {
 }
 
 impl VliwSim {
-    /// Builds a simulator over a packet list. Packet addresses index the
-    /// branch-target map; static branch targets are resolved to packet
-    /// indices once, here.
+    /// Builds a simulator over a packet list: pre-decodes a fresh
+    /// [`Program`] and instantiates it.
     ///
     /// # Errors
     ///
     /// Returns [`VliwError::BadPc`] if two packets share an address.
     pub fn new(program: Vec<Packet>) -> Result<Self, VliwError> {
-        let mut index = HashMap::with_capacity(program.len());
-        for (i, p) in program.iter().enumerate() {
-            if index.insert(p.addr, i).is_some() {
-                return Err(VliwError::BadPc { addr: p.addr });
-            }
-        }
-        let mut pre = Vec::with_capacity(program.len());
-        let mut pre_slots = Vec::new();
-        for p in &program {
-            let first_slot = pre_slots.len() as u32;
-            for (pos, s) in p.slots().iter().enumerate() {
-                let slot_addr = p.addr + 8 * pos as u32;
-                let b_idx = match s.op {
-                    Op::B { disp21 } => {
-                        let dest = slot_addr.wrapping_add((disp21 as u32).wrapping_mul(4));
-                        index.get(&dest).map_or(NO_IDX, |&i| i as u32)
-                    }
-                    _ => NO_IDX,
-                };
-                pre_slots.push(PreSlot {
-                    slot: *s,
-                    slot_addr,
-                    b_idx,
-                    delay: s.op.delay_slots(),
-                });
-            }
-            pre.push(PrePacket {
-                issue: p.issue_cycles(),
-                first_slot,
-                nslots: p.slots().len() as u32,
-            });
-        }
-        Ok(VliwSim {
+        Ok(Self::from_program(Arc::new(Program::new(program)?)))
+    }
+
+    /// Instantiates a simulator over a shared program, in the state a
+    /// fresh load leaves it: registers and memory cleared, fetch at the
+    /// first packet, pre-decoded dispatch, no bus.
+    pub fn from_program(prog: Arc<Program>) -> Self {
+        VliwSim {
             regs: [0; 64],
             mem: Memory::new(),
             mem_image: None,
-            program,
-            index,
-            pre,
-            pre_slots,
-            compiled: None,
+            prog,
             trace: None,
             trace_cfg: TraceConfig::default(),
             pc: 0,
@@ -510,7 +609,69 @@ impl VliwSim {
             bus: None,
             stats: VliwStats::default(),
             halted: false,
-        })
+        }
+    }
+
+    /// The shared program this simulator executes — clone the [`Arc`]
+    /// to instantiate more engines over it.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.prog
+    }
+
+    /// Checks that `snap` fits this engine before it is restored: the
+    /// fetch position and resolved branch target are packet indices of
+    /// the shared program, and a trace-tier image has the program's
+    /// block count with every formed range ending on a block end inside
+    /// the program. Snapshots this engine captured always fit; decoded
+    /// bytes may not, and an unchecked index would fault — or a trace
+    /// range that ends before its own block would stall — only later,
+    /// when the engine runs.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::BadIndex`] for an out-of-range packet index,
+    /// [`CodecError::BadLength`] for a trace-tier image of the wrong
+    /// shape.
+    pub fn check_snapshot(&self, snap: &VliwSnapshot) -> Result<(), CodecError> {
+        let len = self.prog.packets.len();
+        if snap.pc > len {
+            return Err(CodecError::BadIndex {
+                what: "VLIW packet index",
+                index: snap.pc as u64,
+            });
+        }
+        if snap.pending_branch_idx != NO_IDX && snap.pending_branch_idx as usize >= len {
+            return Err(CodecError::BadIndex {
+                what: "VLIW branch target index",
+                index: u64::from(snap.pending_branch_idx),
+            });
+        }
+        if let (Some(_), Some(t)) = (&self.trace, &snap.trace) {
+            let map = &self.prog.compiled().map;
+            let blocks = map.len();
+            t.profile.check_blocks(blocks)?;
+            for (what, n) in [("trace ends", t.ends.len()), ("trace spans", t.span.len())] {
+                if n != blocks {
+                    return Err(CodecError::BadLength {
+                        what,
+                        len: n as u64,
+                    });
+                }
+            }
+            // A range formed at (or covering) a block ends at or past
+            // that block's end, inside the program.
+            for ((end, &span), block) in t.ends.iter().zip(&t.span).zip(&map.blocks) {
+                for e in [end.unwrap_or(NO_IDX), span] {
+                    if e != NO_IDX && (e < block.end() || e as usize > len) {
+                        return Err(CodecError::BadIndex {
+                            what: "VLIW trace range end",
+                            index: u64::from(e),
+                        });
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Snapshots the current memory contents as the load image that
@@ -532,17 +693,17 @@ impl VliwSim {
     }
 
     /// Selects the dispatch core (pre-decoded by default). Selecting
-    /// [`VliwDispatch::Compiled`] for the first time fuses the packet
-    /// table into specialized slot closures (a one-off load-time cost,
-    /// like the pre-decode flattening itself).
+    /// [`VliwDispatch::Compiled`] or [`VliwDispatch::Trace`] compiles
+    /// the shared program's slot closures if no engine over it did so
+    /// yet (a one-off load-time cost, like the pre-decode flattening
+    /// itself).
     pub fn set_dispatch(&mut self, mode: VliwDispatch) {
         self.mode = mode;
-        if matches!(mode, VliwDispatch::Compiled | VliwDispatch::Trace) && self.compiled.is_none() {
-            self.compiled = Some(compiled::compile(&self.pre, &self.pre_slots));
-        }
-        if mode == VliwDispatch::Trace && self.trace.is_none() {
-            let blocks = self.compiled.as_ref().expect("compiled above").map.len();
-            self.trace = Some(Box::new(TraceTier::new(blocks, self.trace_cfg)));
+        if matches!(mode, VliwDispatch::Compiled | VliwDispatch::Trace) {
+            let blocks = self.prog.compiled().map.len();
+            if mode == VliwDispatch::Trace && self.trace.is_none() {
+                self.trace = Some(Box::new(TraceTier::new(blocks, self.trace_cfg)));
+            }
         }
     }
 
@@ -551,14 +712,8 @@ impl VliwSim {
     /// applies from a clean slate.
     pub fn set_trace_config(&mut self, cfg: TraceConfig) {
         self.trace_cfg = cfg;
-        if self.trace.is_some() {
-            let blocks = self
-                .compiled
-                .as_ref()
-                .expect("trace implies compiled")
-                .map
-                .len();
-            self.trace = Some(Box::new(TraceTier::new(blocks, cfg)));
+        if let Some(tier) = &mut self.trace {
+            **tier = TraceTier::new(tier.ends.len(), cfg);
         }
     }
 
@@ -576,12 +731,9 @@ impl VliwSim {
     /// The basic-block partition of the packet table (leaders at branch
     /// destinations and after branch packets) — the shared
     /// [`cabt_exec::blocks::BlockMap`] view the compiled core is built
-    /// over. Builds the compiled table on first use.
-    pub fn block_map(&mut self) -> &BlockMap {
-        if self.compiled.is_none() {
-            self.compiled = Some(compiled::compile(&self.pre, &self.pre_slots));
-        }
-        &self.compiled.as_ref().expect("compiled above").map
+    /// over. Builds the shared program's compiled table on first use.
+    pub fn block_map(&self) -> &BlockMap {
+        &self.prog.compiled().map
     }
 
     /// Reads a register as the architecture would see it *now*
@@ -623,7 +775,7 @@ impl VliwSim {
                 return Some(target);
             }
         }
-        self.program.get(self.pc).map(|p| p.addr)
+        self.prog.packets.get(self.pc).map(|p| p.addr)
     }
 
     /// Execution counters so far.
@@ -644,43 +796,11 @@ impl VliwSim {
     ///
     /// Returns [`VliwError::BadPc`] if no packet starts there.
     pub fn jump_to(&mut self, addr: u32) -> Result<(), VliwError> {
-        self.pc = *self.index.get(&addr).ok_or(VliwError::BadPc { addr })?;
-        Ok(())
-    }
-
-    /// Registers extra branch-target addresses resolving to existing
-    /// packets. A translated guest computes *source-world* code
-    /// addresses (`movh.a`/`lea` of a label, jump tables in data) and
-    /// branches through registers; the translator's block map provides
-    /// `(source block start, target packet address)` pairs here so
-    /// every register-indirect transfer — on every dispatch core, all
-    /// of which resolve through this one index — lands on the right
-    /// packet. Source and target address spaces are disjoint (the
-    /// target image lives below the source text base), so aliases can
-    /// never shadow a real packet address.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VliwError::BadPc`] if an alias collides with a packet
-    /// address (or a previous alias) or its destination is not a packet
-    /// start.
-    pub fn add_branch_aliases(
-        &mut self,
-        aliases: impl IntoIterator<Item = (u32, u32)>,
-    ) -> Result<(), VliwError> {
-        for (alias, dest) in aliases {
-            let idx = *self
-                .index
-                .get(&dest)
-                .ok_or(VliwError::BadPc { addr: dest })?;
-            if self
-                .index
-                .insert(alias, idx)
-                .is_some_and(|prev| prev != idx)
-            {
-                return Err(VliwError::BadPc { addr: alias });
-            }
-        }
+        self.pc = *self
+            .prog
+            .index
+            .get(&addr)
+            .ok_or(VliwError::BadPc { addr })?;
         Ok(())
     }
 
@@ -722,10 +842,6 @@ impl VliwSim {
     /// pre-decoded core, with the slot walk replaced by the packet's
     /// fused closure run.
     fn step_packet_compiled(&mut self) -> Result<(), VliwError> {
-        if self.compiled.is_none() {
-            // Defensive: `set_dispatch` builds the table.
-            self.compiled = Some(compiled::compile(&self.pre, &self.pre_slots));
-        }
         if self.cycle >= self.next_due {
             if self.pending_writes.len() == 1 {
                 // Overwhelmingly common case: one staged result, due now.
@@ -739,7 +855,7 @@ impl VliwSim {
         self.redirect_if_due()?;
 
         let pcv = self.pc;
-        if pcv >= self.pre.len() {
+        if pcv >= self.prog.pre.len() {
             return Err(self.off_end_error());
         }
 
@@ -752,7 +868,7 @@ impl VliwSim {
         let staged = self.pending_writes.len();
         let result = {
             let VliwSim {
-                compiled,
+                prog,
                 regs,
                 mem,
                 bus,
@@ -762,10 +878,7 @@ impl VliwSim {
                 pending_writes,
                 ..
             } = self;
-            let cp = &compiled
-                .as_ref()
-                .expect("compiled table built above")
-                .packets[pcv];
+            let cp = &prog.compiled().packets[pcv];
             issue = cp.issue;
             let mut hot = VHot {
                 regs,
@@ -797,8 +910,8 @@ impl VliwSim {
     /// compiled per-packet path, feeding the warm-up fall-edge profile
     /// that forms traces.
     fn step_packet_trace(&mut self) -> Result<(), VliwError> {
-        if self.compiled.is_none() || self.trace.is_none() {
-            // Defensive: `set_dispatch` builds both tables.
+        if self.trace.is_none() {
+            // Defensive: `set_dispatch` builds the tier.
             self.set_dispatch(VliwDispatch::Trace);
         }
         // Prologue order matches the per-packet cores: retire due
@@ -816,12 +929,12 @@ impl VliwSim {
         self.redirect_if_due()?;
 
         let pcv = self.pc;
-        if pcv >= self.pre.len() {
+        if pcv >= self.prog.pre.len() {
             return Err(self.off_end_error());
         }
 
         let tier = &mut **self.trace.as_mut().expect("trace tier built above");
-        let prog = self.compiled.as_ref().expect("compiled table built above");
+        let prog = self.prog.compiled();
         let loc = prog.map.location(pcv as u32);
         let warm = tier.profile.warm();
         if loc.offset == 0 {
@@ -896,12 +1009,11 @@ impl VliwSim {
     /// (`stats.packets`) is batched per run.
     fn run_vliw_trace(&mut self, end: u32) -> Result<(), VliwError> {
         let VliwSim {
-            compiled,
+            prog,
             trace,
             regs,
             mem,
             bus,
-            index,
             pc,
             cycle,
             pending_writes,
@@ -912,7 +1024,8 @@ impl VliwSim {
             halted,
             ..
         } = self;
-        let prog = compiled.as_ref().expect("compiled table built above");
+        let program: &Program = prog;
+        let prog = program.compiled();
         let tier = &mut **trace.as_mut().expect("trace tier built above");
         let mut pcv = *pc;
         let mut cyc = *cycle;
@@ -950,7 +1063,7 @@ impl VliwSim {
                         // Indirect targets (`BReg`, unresolved `B`) may
                         // land mid-block; the per-packet path handles
                         // them on the next step.
-                        match index.get(&target) {
+                        match program.index.get(&target) {
                             Some(&i) => i,
                             None => break Err(VliwError::BadPc { addr: target }),
                         }
@@ -1014,6 +1127,7 @@ impl VliwSim {
                     self.pending_branch_idx as usize
                 } else {
                     *self
+                        .prog
                         .index
                         .get(&target)
                         .ok_or(VliwError::BadPc { addr: target })?
@@ -1027,7 +1141,7 @@ impl VliwSim {
 
     fn off_end_error(&self) -> VliwError {
         VliwError::BadPc {
-            addr: self.program.last().map_or(0, |p| p.addr + p.size()),
+            addr: self.prog.packets.last().map_or(0, |p| p.addr + p.size()),
         }
     }
 
@@ -1047,7 +1161,7 @@ impl VliwSim {
         }
         self.redirect_if_due()?;
 
-        let pp = match self.pre.get(self.pc) {
+        let pp = match self.prog.pre.get(self.pc) {
             Some(p) => *p,
             None => return Err(self.off_end_error()),
         };
@@ -1058,7 +1172,7 @@ impl VliwSim {
 
         let first = pp.first_slot as usize;
         for i in first..first + pp.nslots as usize {
-            let ps = self.pre_slots[i];
+            let ps = self.prog.pre_slots[i];
             if let Some(p) = ps.slot.pred {
                 let v = self.regs[p.reg.index()];
                 if (v != 0) == p.negated {
@@ -1095,6 +1209,7 @@ impl VliwSim {
         if let Some((remaining, target)) = self.pending_branch {
             if remaining <= 0 {
                 self.pc = *self
+                    .prog
                     .index
                     .get(&target)
                     .ok_or(VliwError::BadPc { addr: target })?;
@@ -1103,7 +1218,7 @@ impl VliwSim {
             }
         }
 
-        let packet = match self.program.get(self.pc) {
+        let packet = match self.prog.packets.get(self.pc) {
             Some(p) => p.clone(),
             None => return Err(self.off_end_error()),
         };
@@ -2202,6 +2317,68 @@ mod tests {
         sim.set_dispatch(VliwDispatch::Compiled);
         sim.run(100).unwrap();
         assert!(sim.is_halted());
+    }
+
+    #[test]
+    fn engines_share_one_program_and_check_restored_indices() {
+        let prog = program(vec![
+            vec![Slot::new(
+                Unit::S1,
+                Op::Mvk {
+                    d: Reg::a(1),
+                    imm16: 5,
+                },
+            )],
+            vec![Slot::new(
+                Unit::L1,
+                Op::Mv {
+                    d: Reg::a(2),
+                    s: Reg::a(1),
+                },
+            )],
+            halt(),
+        ]);
+        let mut sim = VliwSim::new(prog).unwrap();
+        sim.set_dispatch(VliwDispatch::Trace);
+        let mut twin = VliwSim::from_program(Arc::clone(sim.program()));
+        twin.set_dispatch(VliwDispatch::Trace);
+        assert!(Arc::ptr_eq(sim.program(), twin.program()));
+        sim.run(100).unwrap();
+        twin.run(100).unwrap();
+        assert_eq!(sim.stats(), twin.stats(), "twins run the same machine");
+        assert_eq!(twin.reg(Reg::a(2)), 5);
+
+        // A halted run parks one past the last packet: still a valid
+        // position. Anything further, or a branch index off the table,
+        // or a trace image of another shape, is rejected.
+        let good = sim.snapshot();
+        assert_eq!(good.pc, 3);
+        assert_eq!(sim.check_snapshot(&good), Ok(()));
+        let bad_index = |f: &dyn Fn(&mut VliwSnapshot)| {
+            let mut snap = good.clone();
+            f(&mut snap);
+            sim.check_snapshot(&snap)
+        };
+        assert!(matches!(
+            bad_index(&|s| s.pc = 4),
+            Err(CodecError::BadIndex { .. })
+        ));
+        assert!(matches!(
+            bad_index(&|s| s.pending_branch_idx = 3),
+            Err(CodecError::BadIndex { .. })
+        ));
+        assert!(matches!(
+            bad_index(&|s| s.trace.as_mut().unwrap().span.push(NO_IDX)),
+            Err(CodecError::BadLength { .. })
+        ));
+        assert!(matches!(
+            bad_index(&|s| s.trace.as_mut().unwrap().span[0] = 0),
+            Err(CodecError::BadIndex { .. })
+        ));
+        assert!(matches!(
+            bad_index(&|s| s.trace.as_mut().unwrap().ends[0] = Some(4)),
+            Err(CodecError::BadIndex { .. })
+        ));
     }
 
     #[test]

@@ -407,6 +407,8 @@ fn repeated_parallel_runs_are_deterministic() {
 /// The compile-time half of the Send-cleanliness satellite: every type
 /// that crosses (or could cross) a worker-thread boundary in a parallel
 /// sharded run must be `Send`, and the bus handle additionally `Sync`.
+/// The engines' shared programs are read by every shard's worker at
+/// once, so they must be `Send + Sync`.
 /// A regression — say an `Rc` sneaking back into an engine — fails this
 /// test at compile time.
 #[test]
@@ -424,6 +426,10 @@ fn parallel_shard_types_are_send_clean() {
     assert_send::<Simulator>();
     assert_send::<cabt::rtlsim::RtlCore>();
     assert_send::<Platform>();
+    assert_send::<cabt::tricore::sim::Program>();
+    assert_sync::<cabt::tricore::sim::Program>();
+    assert_send::<cabt::vliw::sim::Program>();
+    assert_sync::<cabt::vliw::sim::Program>();
 }
 
 // --- NoC-scale cases: 64-shard fabric --------------------------------

@@ -460,8 +460,10 @@ fn park_header_rejects_foreign_and_future_images() {
 
 /// Resuming untrusted bytes never panics: 4000 seeded mutants of a
 /// mid-run 2-shard envelope (half truncations, half single-bit flips)
-/// each resume or fail with a typed error. Device images decode through
-/// the shared codec, so corrupt device bytes are `SessionError::Codec`.
+/// each resume or fail with a typed error, and every mutant that
+/// resumes also runs without panicking. Device images decode through
+/// the shared codec, so corrupt device bytes are `SessionError::Codec`;
+/// engine table indices are checked against the session's program.
 /// An envelope of the previous format version is rejected by version.
 #[test]
 fn corrupt_park_envelopes_fail_typed_never_panic() {
@@ -495,14 +497,33 @@ fn corrupt_park_envelopes_fail_typed_never_panic() {
         }
     };
     let mut panics = Vec::new();
+    let mut run_panics = Vec::new();
+    let mut accepted = 0;
     for i in 0..4000 {
         let mutant = mutate(&good, i);
-        let resumed = std::panic::catch_unwind(|| Session::resume(&mutant).map(drop));
-        if resumed.is_err() {
-            panics.push(i);
+        match std::panic::catch_unwind(|| Session::resume(&mutant)) {
+            Err(_) => panics.push(i),
+            Ok(Err(_)) => {}
+            // An accepted mutant must also *run* without panicking: its
+            // restored dispatch indices were checked against the
+            // program, so a fault surfaces as a typed error, if at all.
+            Ok(Ok(mut resumed)) => {
+                accepted += 1;
+                let run = std::panic::AssertUnwindSafe(|| {
+                    let _ = resumed.run(Limit::Cycles(20_000));
+                });
+                if std::panic::catch_unwind(run).is_err() {
+                    run_panics.push(i);
+                }
+            }
         }
     }
     assert!(panics.is_empty(), "mutants {panics:?} panicked on resume");
+    assert!(accepted > 0, "no mutant was accepted, so none was run");
+    assert!(
+        run_panics.is_empty(),
+        "accepted mutants {run_panics:?} panicked when run"
+    );
 
     // Mutants of one shard's envelope, adopted into a live session that
     // ran on past the park: a rejected envelope leaves the shard's bus
